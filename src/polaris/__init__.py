@@ -11,7 +11,7 @@ trajectories when numbers are wanted.
 
 from .poly import DegreeOverflowError, MAX_EXPONENT, Polynomial
 from .linalg import RationalMatrix, invert, kernel
-from .parsing import ExprSource, ParseError, parse_polynomial, parse_source
+from .parsing import ParseError, parse_polynomial
 from .geometry import (
     Chart,
     KSymplecticStructure,
@@ -33,7 +33,6 @@ from .hamiltonian import (
     JacobiReport,
     NotPolarized,
     PolarizedForm,
-    apply_poisson,
     bracket,
     bracket_via_theta,
     canonical_poisson_tensor,

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 from .checks import run_suite
-from .dynamics import BlowUpError, conservation_report, rk4_integrate
+from .dynamics import MAX_STEPS, BlowUpError, conservation_report, rk4_integrate
 from .geometry import Chart, RkMap
 from .hamiltonian import (
     GeneralPoissonTensor,
@@ -381,7 +382,7 @@ def cmd_verify(args) -> int:
 def _float_arg(value, name: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ProblemError(f"{name} must be a number")
 
 
@@ -395,7 +396,7 @@ def cmd_integrate(args) -> int:
         except ValueError:
             raise ProblemError("--x0 must be comma-separated numbers")
     elif "x0" in tasks:
-        x0 = [float(v) for v in tasks["x0"]]
+        x0 = [_float_arg(v, "x0") for v in tasks["x0"]]
     else:
         raise ProblemError("no initial state: pass --x0 or set tasks.x0")
     if len(x0) != problem.chart.dim:
@@ -409,10 +410,14 @@ def cmd_integrate(args) -> int:
     if h_raw is None:
         raise ProblemError("no step size: pass --h or set tasks.h")
     h = _float_arg(h_raw, "h")
+    if not all(math.isfinite(v) for v in (t0, t1, h, *x0)):
+        raise ProblemError("t0, t1, h and x0 must be finite")
     if not h > 0:
         raise ProblemError("step size must be positive")
     if not t1 > t0:
         raise ProblemError("t1 must exceed t0")
+    if (t1 - t0) / h > MAX_STEPS:
+        raise ProblemError(f"more than {MAX_STEPS} steps requested")
 
     if args.flow == "hamiltonian":
         try:

@@ -59,15 +59,6 @@ class Chart:
     def var_names(self) -> tuple[str, ...]:
         return self._names
 
-    @property
-    def aliases(self) -> dict[str, str]:
-        return dict(self._aliases)
-
-    def with_aliases(self, aliases: Mapping[str, str]) -> "Chart":
-        merged = dict(self._aliases)
-        merged.update(aliases)
-        return Chart(self.n, self.k, merged)
-
     def fiber_index(self, p: int, i: int) -> int:
         if not (1 <= p <= self.k and 1 <= i <= self.n):
             raise ValueError(f"fiber variable ({p},{i}) out of range")
@@ -77,9 +68,6 @@ class Chart:
         if not 1 <= i <= self.n:
             raise ValueError(f"leaf variable {i} out of range")
         return self.k * self.n + (i - 1)
-
-    def is_leaf_index(self, idx: int) -> bool:
-        return self.k * self.n <= idx < self.dim
 
     def is_fiber_index(self, idx: int) -> bool:
         return 0 <= idx < self.k * self.n
@@ -146,10 +134,6 @@ class RkMap:
             raise ValueError("component dimension does not match the chart")
         self.chart = chart
         self.comps = comps
-
-    @classmethod
-    def zero(cls, chart: Chart) -> "RkMap":
-        return cls(chart, [chart.zero()] * chart.k)
 
     def __getitem__(self, p: int) -> Polynomial:
         return self.comps[p]

@@ -32,7 +32,6 @@ from .geometry import (
     OneFormRk,
     RkMap,
     VectorField,
-    differential,
     interior_product,
     is_basic,
 )
@@ -156,8 +155,9 @@ def hamiltonian_field(pf: PolarizedForm) -> VectorField:
 
         X_H = -sum_{p,s} (dH^p/dx^s) d/dx^{ps} + sum_s f_s d/dx^s
 
-    and then checked against the defining equation, which must hold as a
-    structural polynomial identity.
+    The defining equation itself is checked in one place, not here: the
+    `duality[*]` check of `polaris.checks` (acceptance criterion 2)
+    compares i(X_H)theta^p with -dH^p for every map it verifies.
     """
     chart = pf.chart
     H = pf.to_map()
@@ -171,18 +171,7 @@ def hamiltonian_field(pf: PolarizedForm) -> VectorField:
         fs = pf.f[s - 1]
         if not fs.is_zero:
             comps[chart.leaf_index(s)] = fs
-    field = VectorField(chart, comps)
-
-    structure = KSymplecticStructure.canonical(chart)
-    dH = differential(H)
-    for p in range(chart.k):
-        contracted = interior_product(field, structure.theta(p))
-        for j in range(chart.dim):
-            if contracted[j] != -dH.entry(p, j):
-                raise RuntimeError(
-                    "hamiltonian field failed its defining equation; "
-                    "this indicates a corrupted chart or form")
-    return field
+    return VectorField(chart, comps)
 
 
 def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
@@ -220,14 +209,12 @@ def theta_pairing(theta: RationalMatrix, X: VectorField,
     return total
 
 
-def bracket_via_theta(H: PolarizedForm, K: PolarizedForm,
-                      structure: KSymplecticStructure | None = None) -> RkMap:
+def bracket_via_theta(H: PolarizedForm, K: PolarizedForm) -> RkMap:
     """The same bracket computed as -theta^p(X_H, X_K) per component."""
     if H.chart != K.chart:
         raise ValueError("chart mismatch")
     chart = H.chart
-    if structure is None:
-        structure = KSymplecticStructure.canonical(chart)
+    structure = KSymplecticStructure.canonical(chart)
     X_H = hamiltonian_field(H)
     X_K = hamiltonian_field(K)
     return RkMap(chart, [-theta_pairing(structure.theta(p), X_H, X_K)
@@ -292,9 +279,7 @@ class GeneralPoissonTensor:
                 merged.pop(key, None)
             else:
                 merged[key] = total
-        out = GeneralPoissonTensor(self.chart)
-        out._entries = merged
-        return out
+        return GeneralPoissonTensor(self.chart, merged)
 
     def apply(self, alpha: OneFormRk, beta: OneFormRk) -> RkMap:
         chart = self.chart
@@ -327,11 +312,6 @@ def canonical_poisson_tensor(chart: Chart) -> GeneralPoissonTensor:
                    p - 1, p - 1, p - 1)
             entries[key] = 1
     return GeneralPoissonTensor(chart, entries)
-
-
-def apply_poisson(tensor: GeneralPoissonTensor, alpha: OneFormRk,
-                  beta: OneFormRk) -> RkMap:
-    return tensor.apply(alpha, beta)
 
 
 # -- vector-field algebra ----------------------------------------------------

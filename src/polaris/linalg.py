@@ -40,9 +40,6 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self._entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._entries[i]
-
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._entries

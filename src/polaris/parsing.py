@@ -34,13 +34,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExprSource:
-    """An expression string paired with the chart naming it resolves against."""
-    text: str
-    chart: object
-
-
-@dataclass(frozen=True)
 class _Token:
     kind: str   # NUMBER IDENT + - * ^ ( ) END
     text: str
@@ -197,7 +190,3 @@ def parse_polynomial(text: str, chart) -> Polynomial:
         raise ParseError(f"unexpected trailing input {trailing.text!r}",
                          trailing.offset)
     return value
-
-
-def parse_source(src: ExprSource) -> Polynomial:
-    return parse_polynomial(src.text, src.chart)

@@ -115,18 +115,6 @@ class Polynomial:
         """The coefficient of the constant term."""
         return self._terms.get((0,) * self.dim, Fraction(0))
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self._terms)
-
-    def total_degree(self) -> int:
-        """Largest total degree among terms; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
-    def involves(self, index: int) -> bool:
-        return any(e[index] for e in self._terms)
-
     # -- ring operations ------------------------------------------------
 
     def _check_dim(self, other: "Polynomial"):

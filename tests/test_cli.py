@@ -231,6 +231,27 @@ def test_integrate_rejects_bad_step(demo, capsys):
     assert "step size" in err
 
 
+@pytest.mark.parametrize("t1_text, flags", [
+    ("1", ["--t1", "inf"]),
+    ("1", ["--h", "1e-320"]),
+    ("1", ["--t0=-inf"]),
+    ("1", ["--x0", "nan,1,1"]),
+    ("1e400", []),
+    ("1" + "0" * 400, []),
+], ids=["t1-inf", "h-subnormal", "t0-minus-inf", "x0-nan", "file-t1-1e400",
+        "file-t1-huge-int"])
+def test_integrate_rejects_non_finite_input(tmp_path, t1_text, flags):
+    text = json.dumps(DEMO)
+    assert '"t1": 1,' in text
+    path = tmp_path / "problem.json"
+    path.write_text(text.replace('"t1": 1,', f'"t1": {t1_text},'))
+    cmd = [sys.executable, "-m", "polaris", "integrate", str(path), "H", *flags]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+
+
 def test_integrate_needs_initial_state(demo, capsys):
     payload = dict(DEMO, tasks={"t1": 1, "h": 0.001})
     code, _, err = run(capsys, "integrate", demo(payload), "H")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polaris import checks
 from polaris.geometry import (
     Chart,
     KSymplecticStructure,
@@ -144,6 +145,22 @@ def test_duality_on_random_corpus():
             for p in range(chart.k):
                 row = interior_product(X, structure.theta(p))
                 assert all(row[j] == -dH.entry(p, j) for j in range(chart.dim))
+
+
+def test_bad_field_is_caught_by_the_duality_check(monkeypatch):
+    # the defining equation of X_H lives in checks.duality_check alone, so
+    # a wrong field must come back as a failed check, not as an exception
+
+    def flipped_leaf(pf):
+        X = hamiltonian_field(pf)
+        leaf = set(pf.chart.leaf_indices)
+        return VectorField(pf.chart, {i: -c if i in leaf else c
+                                      for i, c in X.components()})
+
+    monkeypatch.setattr(checks, "hamiltonian_field", flipped_leaf)
+    results = checks.run_suite(R3, {"H": H_MAP, "K": K_MAP}, trials=3)
+    duality = next(r for r in results if r.name == "duality[H]")
+    assert duality.line().startswith("FAIL duality[H] residual=2*q1")
 
 
 # -- brackets -------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polaris.geometry import Chart
-from polaris.parsing import ExprSource, ParseError, parse_polynomial, parse_source
+from polaris.parsing import ParseError, parse_polynomial
 from polaris.poly import Polynomial
 from polaris.nambu import NambuSpaceRk1
 from polaris.sampling import random_polynomial
@@ -115,8 +115,3 @@ def test_roundtrip_through_canonical_printing():
             p = random_polynomial(rng, chart)
             text = p.to_string(chart.var_names)
             assert parse_polynomial(text, chart) == p
-
-
-def test_expr_source_wrapper():
-    src = ExprSource("x + z", R3)
-    assert parse_source(src) == R3.coordinate("x") + R3.coordinate("q1")
