@@ -21,6 +21,7 @@ from .geometry import (
     KSymplecticStructure,
     OneFormRk,
     RkMap,
+    VectorField,
     check_ksymplectic,
     differential,
     exterior_derivative_one_form,
@@ -89,14 +90,10 @@ def structure_checks(structure: KSymplecticStructure) -> list[CheckResult]:
 # -- per-map identities -------------------------------------------------------
 
 
-def duality_check(name: str, pf: PolarizedForm) -> CheckResult:
-    chart = pf.chart
-    structure = KSymplecticStructure.canonical(chart)
-    H = pf.to_map()
-    dH = differential(H)
-    X = hamiltonian_field(pf)
-    for p in range(chart.k):
-        row = interior_product(X, structure.theta(p))
+def duality_check(name: str, rows, dH: OneFormRk) -> CheckResult:
+    """i(X_H)theta^p = -dH^p, given the rows i(X_H)theta^p and dH."""
+    chart = dH.chart
+    for p, row in enumerate(rows):
         for j in range(chart.dim):
             delta = row[j] + dH.entry(p, j)
             if not delta.is_zero:
@@ -106,25 +103,21 @@ def duality_check(name: str, pf: PolarizedForm) -> CheckResult:
     return CheckResult(f"duality[{name}]", True)
 
 
-def closed_pfaff_check(name: str, pf: PolarizedForm) -> CheckResult:
-    chart = pf.chart
-    structure = KSymplecticStructure.canonical(chart)
-    X = hamiltonian_field(pf)
-    for p in range(chart.k):
-        grid = exterior_derivative_one_form(interior_product(X, structure.theta(p)))
+def closed_pfaff_check(name: str, rows, chart: Chart) -> CheckResult:
+    """Each 1-form i(X_H)theta^p is closed, given those rows."""
+    for p, row in enumerate(rows):
+        grid = exterior_derivative_one_form(row)
         if not grid_is_zero(grid):
-            witness = next(poly for row in grid for poly in row if not poly.is_zero)
+            witness = next(poly for line in grid for poly in line if not poly.is_zero)
             return CheckResult(f"closed-pfaff[{name}]", False,
                                witness.to_string(chart.var_names),
                                f"form {p + 1}")
     return CheckResult(f"closed-pfaff[{name}]", True)
 
 
-def first_integral_check(name: str, pf: PolarizedForm) -> CheckResult:
+def first_integral_check(name: str, X: VectorField, dH: OneFormRk) -> CheckResult:
     """<dH^p, X_H> = 0 for every p."""
-    chart = pf.chart
-    H = pf.to_map()
-    paired = xi_pairing(differential(H), hamiltonian_field(pf))
+    paired = xi_pairing(dH, X)
     return CheckResult(f"first-integral[{name}]", paired.is_zero, paired.to_string())
 
 
@@ -144,12 +137,10 @@ def aligned_basis_forms(chart: Chart):
             yield p, j
 
 
-def xi_poisson_check(name: str, pf: PolarizedForm,
+def xi_poisson_check(name: str, X: VectorField, dH: OneFormRk,
                      tensor: GeneralPoissonTensor) -> CheckResult:
     """Xi(X_H) agrees with -P(dH, .) on the aligned basis forms."""
-    chart = pf.chart
-    X = hamiltonian_field(pf)
-    dH = differential(pf.to_map())
+    chart = X.chart
     for p, j in aligned_basis_forms(chart):
         beta = OneFormRk.basis(chart, p, j)
         delta = xi_pairing(beta, X) + tensor.apply(dH, beta)
@@ -160,21 +151,26 @@ def xi_poisson_check(name: str, pf: PolarizedForm,
     return CheckResult(f"xi-poisson[{name}]", True)
 
 
-def map_checks(name: str, H: RkMap,
-               tensor: GeneralPoissonTensor) -> tuple[list[CheckResult],
-                                                      PolarizedForm | None]:
+def map_checks(name: str, H: RkMap, tensor: GeneralPoissonTensor,
+               structure: KSymplecticStructure) -> tuple[list[CheckResult],
+                                                         PolarizedForm | None]:
+    """The per-map identities; X_H, dH and each i(X_H)theta^p built once."""
     try:
         pf = decompose_polarized(H)
     except NotPolarized as exc:
         return [CheckResult(f"polarized[{name}]", False, "-", str(exc))], None
+    chart = H.chart
+    X = hamiltonian_field(pf)
+    dH = differential(pf.to_map())
+    rows = [interior_product(X, structure.theta(p)) for p in range(chart.k)]
     results = [
         CheckResult(f"polarized[{name}]", True, "0",
-                    "f=(" + ", ".join(p.to_string(H.chart.var_names)
+                    "f=(" + ", ".join(p.to_string(chart.var_names)
                                       for p in pf.f) + ")"),
-        duality_check(name, pf),
-        closed_pfaff_check(name, pf),
-        first_integral_check(name, pf),
-        xi_poisson_check(name, pf, tensor),
+        duality_check(name, rows, dH),
+        closed_pfaff_check(name, rows, chart),
+        first_integral_check(name, X, dH),
+        xi_poisson_check(name, X, dH, tensor),
     ]
     return results, pf
 
@@ -182,15 +178,14 @@ def map_checks(name: str, H: RkMap,
 # -- pair and triple identities ----------------------------------------------
 
 
-def routes_check(label: str, a: PolarizedForm, b: PolarizedForm,
+def routes_check(label: str, a: PolarizedForm, b: PolarizedForm, ab: RkMap,
                  tensor: GeneralPoissonTensor) -> CheckResult:
-    """Coordinate bracket vs 2-form contraction vs Poisson tensor."""
-    coord = bracket(a, b)
+    """Coordinate bracket ab = {a,b} vs 2-form contraction vs Poisson tensor."""
     theta_route = bracket_via_theta(a, b)
     poisson_route = tensor.apply(differential(a.to_map()),
                                  differential(b.to_map()))
-    delta_theta = coord - theta_route
-    delta_poisson = coord - poisson_route
+    delta_theta = ab - theta_route
+    delta_poisson = ab - poisson_route
     if not delta_theta.is_zero:
         return CheckResult(f"routes[{label}]", False, delta_theta.to_string(),
                            "2-form route disagrees")
@@ -200,29 +195,29 @@ def routes_check(label: str, a: PolarizedForm, b: PolarizedForm,
     return CheckResult(f"routes[{label}]", True)
 
 
-def closure_check(label: str, a: PolarizedForm, b: PolarizedForm) -> CheckResult:
-    value = bracket(a, b)
+def closure_check(label: str, ab: RkMap) -> CheckResult:
+    """The bracket ab = {a,b} is polarized again."""
     try:
-        decompose_polarized(value)
+        decompose_polarized(ab)
     except NotPolarized as exc:
-        return CheckResult(f"closure[{label}]", False, value.to_string(), str(exc))
+        return CheckResult(f"closure[{label}]", False, ab.to_string(), str(exc))
     return CheckResult(f"closure[{label}]", True)
 
 
-def morphism_check(label: str, a: PolarizedForm, b: PolarizedForm) -> CheckResult:
-    """[X_H, X_K] = X_{K,H} under the fixed sign conventions."""
+def morphism_check(label: str, a: PolarizedForm, b: PolarizedForm,
+                   ba: RkMap) -> CheckResult:
+    """[X_H, X_K] = X_{K,H} under the fixed sign conventions; ba = {b,a}."""
     lhs = lie_bracket(hamiltonian_field(a), hamiltonian_field(b))
-    rhs = hamiltonian_field(decompose_polarized(bracket(b, a)))
+    rhs = hamiltonian_field(decompose_polarized(ba))
     delta = lhs - rhs
     return CheckResult(f"morphism[{label}]", delta.is_zero, delta.to_string())
 
 
-def pairing_bracket_check(label: str, a: PolarizedForm,
-                          b: PolarizedForm) -> CheckResult:
-    """<dK, X_H> = {K,H}."""
+def pairing_bracket_check(label: str, a: PolarizedForm, b: PolarizedForm,
+                          ba: RkMap) -> CheckResult:
+    """<dK, X_H> = {K,H}; ba = {b,a}."""
     lhs = xi_pairing(differential(b.to_map()), hamiltonian_field(a))
-    rhs = bracket(b, a)
-    delta = lhs - rhs
+    delta = lhs - ba
     return CheckResult(f"pairing-bracket[{label}]", delta.is_zero, delta.to_string())
 
 
@@ -258,14 +253,16 @@ def random_corpus_checks(chart: Chart, tensor: GeneralPoissonTensor,
         a = random_polarized(rng, chart)
         b = random_polarized(rng, chart)
         c = random_polarized(rng, chart)
-        routes = routes_check("random", a, b, tensor)
+        ab = bracket(a, b)
+        routes = routes_check("random", a, b, ab, tensor)
         if not routes.passed:
             failures["routes"].append(routes.residual)
-        closure = closure_check("random", a, b)
+        closure = closure_check("random", ab)
         if not closure.passed:
             failures["closure"].append(closure.details)  # the NotPolarized message
             continue
-        for key, result in (("morphism", morphism_check("random", a, b)),
+        ba = bracket(b, a)
+        for key, result in (("morphism", morphism_check("random", a, b, ba)),
                             ("jacobi", jacobi_result("random", a, b, c))):
             if not result.passed:
                 failures[key].append(result.residual)
@@ -331,8 +328,7 @@ def nambu_rk1_checks(space: NambuSpaceRk1,
         report = verify_relation_rk1(pf, space)
         out.append(CheckResult(f"nambu.relation-rk1[{name}]", report.passed,
                                report.residual_text()))
-        z_comp = nambu_field_rk1(pf.to_map(), space).component(
-            space.coordinate_index(k + 1))
+        z_comp = report.lhs.component(space.coordinate_index(k + 1))
         expected = pf.f[0] ** k
         if k % 2:
             expected = -expected
@@ -363,13 +359,11 @@ def nambu_r3n_checks(space: NambuSpaceR3n, named: Mapping[str, RkMap],
         report = verify_relation_r3n(pf, space)
         out.append(CheckResult(f"nambu.relation-r3n[{name}]", report.passed,
                                report.residual_text()))
-        H = pf.to_map()
-        field = nambu_field_r3n(H[0], H[1], space)
         delta_text = "0"
         ok = True
         for i in range(1, space.n + 1):
             zi = space.triple_indices(i)[2]
-            delta = field.component(zi) - pf.f[i - 1] * pf.f[i - 1]
+            delta = report.lhs.component(zi) - pf.f[i - 1] * pf.f[i - 1]
             if not delta.is_zero:
                 ok = False
                 delta_text = delta.to_string(chart.var_names)
@@ -403,20 +397,23 @@ def run_suite(chart: Chart, named_maps: Mapping[str, RkMap], *,
     """The full invariant suite for one problem, in deterministic order."""
     if tensor is None:
         tensor = canonical_poisson_tensor(chart)
-    results = structure_checks(KSymplecticStructure.canonical(chart))
+    structure = KSymplecticStructure.canonical(chart)
+    results = structure_checks(structure)
     polarized: dict[str, PolarizedForm] = {}
     for name in sorted(named_maps):
-        map_results, pf = map_checks(name, named_maps[name], tensor)
+        map_results, pf = map_checks(name, named_maps[name], tensor, structure)
         results.extend(map_results)
         if pf is not None:
             polarized[name] = pf
     names = sorted(polarized)
     for a, b in combinations(names, 2):
         label = f"{a},{b}"
-        results.append(routes_check(label, polarized[a], polarized[b], tensor))
-        results.append(closure_check(label, polarized[a], polarized[b]))
-        results.append(morphism_check(label, polarized[a], polarized[b]))
-        results.append(pairing_bracket_check(label, polarized[a], polarized[b]))
+        pa, pb = polarized[a], polarized[b]
+        ab, ba = bracket(pa, pb), bracket(pb, pa)
+        results.append(routes_check(label, pa, pb, ab, tensor))
+        results.append(closure_check(label, ab))
+        results.append(morphism_check(label, pa, pb, ba))
+        results.append(pairing_bracket_check(label, pa, pb, ba))
     for a, b, c in combinations(names, 3):
         results.append(jacobi_result(f"{a},{b},{c}", polarized[a],
                                      polarized[b], polarized[c]))

@@ -36,7 +36,13 @@ import sys
 from dataclasses import dataclass
 
 from .checks import run_suite
-from .dynamics import MAX_STEPS, BlowUpError, conservation_report, rk4_integrate
+from .dynamics import (
+    BLOWUP_LIMIT,
+    MAX_STEPS,
+    BlowUpError,
+    conservation_report,
+    rk4_integrate,
+)
 from .geometry import Chart, RkMap
 from .hamiltonian import (
     GeneralPoissonTensor,
@@ -70,7 +76,6 @@ class Problem:
     hamiltonians: dict[str, RkMap]
     tasks: dict
     tensor: GeneralPoissonTensor
-    perturbed: bool = False
 
 
 def _require(condition: bool, message: str):
@@ -178,7 +183,6 @@ def load_problem(path: str) -> Problem:
                  "'trials' must be a positive integer")
 
     tensor = canonical_poisson_tensor(chart)
-    perturbed = False
     if "poisson_perturbation" in raw:
         entries_raw = raw["poisson_perturbation"]
         _require(isinstance(entries_raw, list),
@@ -209,10 +213,8 @@ def load_problem(path: str) -> Problem:
             extra[key] = extra.get(key, chart.zero()) + coeff
         if extra:
             tensor = tensor.with_entries(extra)
-            perturbed = True
 
-    return Problem(path, kind, chart, space, hamiltonians, tasks, tensor,
-                   perturbed)
+    return Problem(path, kind, chart, space, hamiltonians, tasks, tensor)
 
 
 # -- report rendering ---------------------------------------------------------
@@ -412,12 +414,18 @@ def cmd_integrate(args) -> int:
     h = _float_arg(h_raw, "h")
     if not all(math.isfinite(v) for v in (t0, t1, h, *x0)):
         raise ProblemError("t0, t1, h and x0 must be finite")
+    if any(abs(v) > BLOWUP_LIMIT for v in x0):
+        raise ProblemError(f"x0 components must lie within {BLOWUP_LIMIT:g}")
     if not h > 0:
         raise ProblemError("step size must be positive")
     if not t1 > t0:
         raise ProblemError("t1 must exceed t0")
     if (t1 - t0) / h > MAX_STEPS:
         raise ProblemError(f"more than {MAX_STEPS} steps requested")
+    # each grid time t0 + i*h rounds by at most 1.5 ulp of max(|t0|, |t1|),
+    # so a step above 3 such ulp keeps the grid strictly increasing
+    if h <= 3 * math.ulp(max(abs(t0), abs(t1))):
+        raise ProblemError("step size is below the float resolution of t0..t1")
 
     if args.flow == "hamiltonian":
         try:

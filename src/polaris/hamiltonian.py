@@ -56,7 +56,7 @@ class NotPolarized(ValueError):
 class PolarizedForm:
     """The decomposition (f_1..f_n, g^1..g^k) of a polarized map."""
 
-    __slots__ = ("chart", "f", "g")
+    __slots__ = ("chart", "f", "g", "_map")
 
     def __init__(self, chart: Chart, f: Iterable[Polynomial],
                  g: Iterable[Polynomial]):
@@ -78,18 +78,18 @@ class PolarizedForm:
         self.chart = chart
         self.f = f
         self.g = g
-
-    def to_map(self) -> RkMap:
-        """Reconstruct H^p = sum_j f_j x^{pj} + g^p."""
-        chart = self.chart
         comps = []
         for p in range(1, chart.k + 1):
-            total = self.g[p - 1]
+            total = g[p - 1]
             for j in range(1, chart.n + 1):
                 xpj = Polynomial.variable(chart.dim, chart.fiber_index(p, j))
-                total = total + self.f[j - 1] * xpj
+                total = total + f[j - 1] * xpj
             comps.append(total)
-        return RkMap(chart, comps)
+        self._map = RkMap(chart, comps)
+
+    def to_map(self) -> RkMap:
+        """H^p = sum_j f_j x^{pj} + g^p, built once from (f, g)."""
+        return self._map
 
     def __eq__(self, other):
         if not isinstance(other, PolarizedForm):

@@ -12,8 +12,9 @@ spaces around the slash) or decimals ("0.25"), all converted exactly.
 Variables resolve against a chart's naming table: fiber variables are
 "x{p}_{i}", leaf variables "q{i}", and charts may register aliases.
 Multiplication is always explicit ("2x" is an error) and exponents are
-plain non-negative integers.  Every error carries the byte offset where
-it was detected.
+plain non-negative integers.  Parentheses and unary minus nest at most
+MAX_NESTING levels deep.  Every error carries the byte offset where it
+was detected.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MAX_EXPONENT, Polynomial
+from .poly import MAX_EXPONENT, DegreeOverflowError, Polynomial
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -99,6 +102,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.chart = chart
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -109,12 +113,13 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.current
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.offset)
-        return self.advance()
+    def descend(self) -> _Token:
+        """Consume a '(' or unary '-', one more level of nesting."""
+        tok = self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", tok.offset)
+        return tok
 
     def parse_expr(self) -> Polynomial:
         value = self.parse_term()
@@ -127,14 +132,21 @@ class _Parser:
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()
         while self.current.kind == "*":
-            self.advance()
-            value = value * self.parse_factor()
+            star = self.advance()
+            rhs = self.parse_factor()
+            try:
+                value = value * rhs
+            except DegreeOverflowError:
+                raise ParseError("product overflows the degree cap",
+                                 star.offset) from None
         return value
 
     def parse_factor(self) -> Polynomial:
         if self.current.kind == "-":
-            self.advance()
-            return -self.parse_factor()
+            self.descend()
+            value = -self.parse_factor()
+            self.depth -= 1
+            return value
         value = self.parse_atom()
         if self.current.kind == "^":
             caret = self.advance()
@@ -151,7 +163,7 @@ class _Parser:
                     f"exponent {exponent} above cap {MAX_EXPONENT}", tok.offset)
             try:
                 value = value ** exponent
-            except Exception:
+            except DegreeOverflowError:
                 raise ParseError("exponentiation overflows the degree cap",
                                  caret.offset) from None
         return value
@@ -169,11 +181,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.offset) from None
             return Polynomial.variable(self.chart.dim, index)
         if tok.kind == "(":
-            open_tok = self.advance()
+            open_tok = self.descend()
             value = self.parse_expr()
             if self.current.kind != ")":
                 raise ParseError("unbalanced parentheses", open_tok.offset)
             self.advance()
+            self.depth -= 1
             return value
         if tok.kind == ")":
             raise ParseError("unbalanced parentheses", tok.offset)

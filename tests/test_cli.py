@@ -48,6 +48,22 @@ def test_validate_reports_failure_reason(demo, capsys):
     assert "nonlinear-in-fiber" in out
 
 
+@pytest.mark.parametrize("expr, code", [
+    ("(" * 3000 + "z" + ")" * 3000, 2),
+    ("-" * 3000 + "z", 2),
+    ("(" * 50 + "z" + ")" * 50, 0),
+], ids=["parens-3000", "unary-minus-3000", "parens-50"])
+def test_validate_deep_nesting(demo, expr, code):
+    path = demo(dict(DEMO, hamiltonians={"H": [expr, "z*y"]}))
+    cmd = [sys.executable, "-m", "polaris", "validate", path]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    if code == 2:
+        assert done.stderr.startswith("error:")
+        assert "nested too deeply" in done.stderr
+
+
 def test_component_count_mismatch(demo, capsys):
     payload = dict(DEMO, hamiltonians={"H": ["z*x", "z*y", "z"]})
     code, _, err = run(capsys, "validate", demo(payload))
@@ -238,8 +254,10 @@ def test_integrate_rejects_bad_step(demo, capsys):
     ("1", ["--x0", "nan,1,1"]),
     ("1e400", []),
     ("1" + "0" * 400, []),
+    ("1", ["--t0", "1e17", "--t1", "100000000000001000", "--h", "1"]),
+    ("1", ["--x0", "1e13,1,1"]),
 ], ids=["t1-inf", "h-subnormal", "t0-minus-inf", "x0-nan", "file-t1-1e400",
-        "file-t1-huge-int"])
+        "file-t1-huge-int", "h-below-float-resolution", "x0-beyond-blowup"])
 def test_integrate_rejects_non_finite_input(tmp_path, t1_text, flags):
     text = json.dumps(DEMO)
     assert '"t1": 1,' in text

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polaris.geometry import Chart
-from polaris.parsing import ParseError, parse_polynomial
+from polaris.parsing import MAX_NESTING, ParseError, parse_polynomial
 from polaris.poly import Polynomial
 from polaris.nambu import NambuSpaceRk1
 from polaris.sampling import random_polynomial
@@ -98,6 +98,32 @@ def test_huge_exponent_rejected():
         parse_polynomial("x^33", R3)
     with pytest.raises(ParseError):
         parse_polynomial("(x^8)^8", R3)
+
+
+def test_product_past_degree_cap_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x^32*x", R3)
+    assert err.value.message == "product overflows the degree cap"
+    assert err.value.offset == 4
+
+
+def test_nesting_cap_counts_parens_and_unary_minus():
+    assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, R3) \
+        == R3.coordinate("x")
+    assert parse_polynomial("-(" * (MAX_NESTING // 2) + "x"
+                            + ")" * (MAX_NESTING // 2), R3) == R3.coordinate("x")
+    for text in ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+                 "-" * (MAX_NESTING + 1) + "x",
+                 "-(" * 50 + "-x" + ")" * 50):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, R3)
+        assert err.value.message == "expression nested too deeply"
+        assert err.value.offset == MAX_NESTING
+
+
+def test_siblings_do_not_add_up_to_nesting():
+    text = "+".join(["(-x)"] * (2 * MAX_NESTING))
+    assert parse_polynomial(text, R3) == R3.coordinate("x") * (-2 * MAX_NESTING)
 
 
 def test_exponent_must_be_integer():
