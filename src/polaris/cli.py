@@ -61,6 +61,9 @@ TOP_KEYS = {"space", "n", "k", "aliases", "hamiltonians", "tasks",
             "poisson_perturbation"}
 TASK_KEYS = {"x0", "t0", "t1", "h", "seed", "trials"}
 PERTURBATION_KEYS = {"i", "j", "p", "q", "r", "coeff"}
+# each trial runs the whole random corpus once; beyond this a typo such as
+# --trials 100000000 would run for hours without output
+MAX_TRIALS = 10_000
 
 
 class ProblemError(ValueError):
@@ -97,7 +100,7 @@ def load_problem(path: str) -> Problem:
             raw = json.load(handle)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from None
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise ProblemError(f"{path} is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "top level must be an object")
     unknown = set(raw) - TOP_KEYS
@@ -356,8 +359,8 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args, problem)
     trials = args.trials if args.trials is not None \
         else problem.tasks.get("trials", 100)
-    if trials < 1:
-        raise ProblemError("trials must be positive")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ProblemError(f"trials must be between 1 and {MAX_TRIALS}")
     results = run_suite(problem.chart, problem.hamiltonians,
                         tensor=problem.tensor, space=problem.space,
                         seed=seed, trials=trials)
@@ -446,20 +449,25 @@ def cmd_integrate(args) -> int:
     try:
         traj = rk4_integrate(X, x0, t0, t1, h,
                              field_id=f"{args.flow}[{args.name}]")
-    except BlowUpError as exc:
-        lines.append(f"integration aborted: {exc}")
-        report["error"] = str(exc)
+        drift = conservation_report(H, traj)
+    except (BlowUpError, OverflowError) as exc:
+        reason = str(exc) if isinstance(exc, BlowUpError) \
+            else f"float overflow evaluating the field or H: {exc}"
+        lines.append(f"integration aborted: {reason}")
+        report["error"] = reason
         _emit(report, lines, args.json)
         return 1
-    drift = conservation_report(H, traj)
     lines.append(f"samples: {len(traj.times)}")
     for p, value in enumerate(drift.drifts, start=1):
         lines.append(f"drift H^{p} = {value:.17g}")
     report["samples"] = len(traj.times)
     report["drifts"] = [f"{value:.17g}" for value in drift.drifts]
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as handle:
-            traj.write_csv(handle, problem.chart.var_names)
+        try:
+            with open(args.out, "w", encoding="ascii", newline="") as handle:
+                traj.write_csv(handle, problem.chart.var_names)
+        except OSError as exc:
+            raise ProblemError(f"cannot write {args.out}: {exc}") from None
         lines.append(f"csv: {args.out}")
         report["csv"] = args.out
     _emit(report, lines, args.json)

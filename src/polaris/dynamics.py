@@ -1,8 +1,9 @@
 """Fixed-step RK4 integration of polynomial fields with drift monitoring.
 
 Deterministic on purpose: grid times come from t0 + i*h (not from step
-accumulation), polynomial evaluation follows the canonical term order,
-and every run of the same inputs produces bit-identical output.  The
+accumulation), polynomial evaluation follows the canonical term order
+(each field is compiled once per call by `poly.float_evaluator`), and
+every run of the same inputs produces bit-identical output.  The
 integrator is deliberately plain; conservation drift is a measured
 quantity here, not something the method is designed to hide.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import RkMap, VectorField
-from .poly import Polynomial
+from .poly import Polynomial, float_evaluator
 
 BLOWUP_LIMIT = 1e12
 MAX_STEPS = 10_000_000
@@ -102,11 +103,7 @@ def rk4_integrate(X: VectorField, x0: Sequence[float], t0: float, t1: float,
     if len(x0) != dim:
         raise ValueError(f"initial state needs {dim} components")
 
-    comps = [X.component(i) for i in range(dim)]
-
-    def rhs(state):
-        return [c.evaluate(state) for c in comps]
-
+    rhs = float_evaluator([X.component(i) for i in range(dim)])
     grid = _time_grid(t0, t1, h)
     state = [float(v) for v in x0]
     times = [grid[0]]
@@ -141,14 +138,12 @@ def conservation_report(H: RkMap, traj: Trajectory) -> ConservationReport:
     dim = H.chart.dim
     if len(traj.states[0]) != dim:
         raise ValueError("trajectory dimension does not match the chart")
-    start = traj.states[0]
-    initial = [comp.evaluate(start) for comp in H]
-    drifts = []
-    for comp, h0 in zip(H, initial):
-        worst = 0.0
-        for state in traj.states:
-            worst = max(worst, abs(comp.evaluate(state) - h0))
-        drifts.append(worst)
+    values = float_evaluator(list(H))
+    initial = values(traj.states[0])
+    drifts = [0.0] * len(initial)
+    for state in traj.states:
+        for p, (v, h0) in enumerate(zip(values(state), initial)):
+            drifts[p] = max(drifts[p], abs(v - h0))
     return ConservationReport(tuple(drifts))
 
 
@@ -178,22 +173,22 @@ def compare_flows(Xa: VectorField, Xb: VectorField, scale: Polynomial,
     traj_a = rk4_integrate(Xa, x0, t0, t1, h, field_id="lhs")
     traj_b = rk4_integrate(Xb, x0, t0, t1, h, field_id="rhs")
     dim = Xa.chart.dim
-    comps_a = [Xa.component(i) for i in range(dim)]
-    comps_b = [Xb.component(i) for i in range(dim)]
+    scale_at = float_evaluator([scale])
+    field_a = float_evaluator([Xa.component(i) for i in range(dim)])
+    field_b = float_evaluator([Xb.component(i) for i in range(dim)])
     worst = 0.0
     worst_rel = 0.0
     previous_sign = None
     for t, state in zip(traj_a.times, traj_a.states):
-        s = scale.evaluate(state)
+        s = scale_at(state)[0]
         sign = math.copysign(1.0, s) if s else 0.0
         if s == 0.0 or (previous_sign is not None and sign != previous_sign):
             raise ScaleVanishedError(t)
         previous_sign = sign
         magnitude = 0.0
         residual = 0.0
-        for ca, cb in zip(comps_a, comps_b):
-            va = ca.evaluate(state)
-            vb = s * cb.evaluate(state)
+        for va, wb in zip(field_a(state), field_b(state)):
+            vb = s * wb
             residual = max(residual, abs(va - vb))
             magnitude = max(magnitude, abs(va), abs(vb))
         worst = max(worst, residual)

@@ -9,6 +9,10 @@ nonzero coefficients; the zero polynomial has an empty term map.
 Term order is descending lexicographic on exponent vectors.  Printing,
 iteration and float evaluation all follow this one order, so equal
 polynomials print identically and float sums are reproducible.
+
+Float evaluation has one path, `float_evaluator`: it compiles
+polynomials to straight-line Python once, so repeated evaluation does
+not re-read the exact term maps on every call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from types import MappingProxyType
 # Hard per-variable exponent cap; exceeding it aborts the computation
 # instead of letting symbolic growth run away.
 MAX_EXPONENT = 32
+
+# Terms per separately compiled unit of a float evaluator; this bounds the
+# compiler's transient memory, which grows with the source it is given.
+UNIT_TERMS = 256
 
 Coefficient = Fraction | int
 
@@ -39,7 +47,7 @@ def _as_fraction(value) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial over `dim` variables."""
 
-    __slots__ = ("dim", "_terms", "_hash", "_ordered")
+    __slots__ = ("dim", "_terms", "_hash", "_ordered", "_float")
 
     def __init__(self, dim: int, terms: Mapping[tuple[int, ...], Coefficient] = ()):
         if dim < 1:
@@ -61,6 +69,7 @@ class Polynomial:
         self._terms = clean
         self._hash = None
         self._ordered = None
+        self._float = None
 
     # -- constructors ---------------------------------------------------
 
@@ -73,6 +82,7 @@ class Polynomial:
         self._terms = terms
         self._hash = None
         self._ordered = None
+        self._float = None
         return self
 
     @classmethod
@@ -216,14 +226,9 @@ class Polynomial:
         if len(point) != self.dim:
             raise ValueError(
                 f"point length {len(point)} does not match dim {self.dim}")
-        total = 0.0
-        for exps, coeff in self.ordered_terms():
-            value = float(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    value *= point[i] ** e
-            total += value
-        return total
+        if self._float is None:
+            self._float = float_evaluator([self])
+        return self._float(point)[0]
 
     __call__ = evaluate
 
@@ -276,3 +281,53 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self.to_string()}>"
+
+
+def float_evaluator(polys: Sequence[Polynomial]):
+    """Compile `polys` once into `point -> list[float]`, one value each.
+
+    Every value is the float64 sum over the canonical term order of
+    `float(c) * p[i]**e * ...`, with factors in variable order and only
+    for e > 0: the same operations in the same order for every call, so
+    results are reproducible bit for bit.  `** e` is kept rather than a
+    chain of products, which can round differently.
+
+    Each term is one `t += ...` statement, because a single expression
+    of many thousand terms overflows the compiler's recursion limit.
+    Compiling takes over 10 KiB of transient memory per term, so the
+    statements go into units of at most `UNIT_TERMS` terms, each compiled
+    on its own, that the evaluator calls in turn.  Only integer indices,
+    exponents and counters enter the source text; each coefficient is
+    bound as a float under a generated name.
+    """
+    polys = list(polys)
+    if len({poly.dim for poly in polys}) > 1:
+        raise ValueError("polynomials of one evaluator must share a dim")
+    units: list[list[str]] = [[]]
+    used = 0
+    coeffs: dict = {}
+    for poly in polys:
+        units[-1].append("t = 0.0")
+        for exps, coeff in poly.ordered_terms():
+            if used == UNIT_TERMS:
+                units.append([])
+                used = 0
+            name = f"c{len(coeffs):d}"
+            coeffs[name] = float(coeff)
+            factors = "".join(f"*p[{i:d}]**{e:d}" for i, e in enumerate(exps) if e)
+            units[-1].append(f"t += {name}{factors}")
+            used += 1
+        units[-1].append("out.append(t)")
+    # the units see only the coefficients and the evaluator only the units;
+    # popping each function out of the dict it ran in leaves no function ->
+    # globals -> function cycle, so an evaluator is freed by refcount
+    calls: dict = {}
+    for k, body in enumerate(units):
+        source = "def unit(p, out, t):\n    " + "\n    ".join(body) + "\n    return t"
+        exec(compile(source, "<float_evaluator>", "exec"), coeffs)
+        calls[f"u{k:d}"] = coeffs.pop("unit")
+    source = ("def evaluate(p):\n    out = []\n    t = 0.0\n"
+              + "".join(f"    t = u{k:d}(p, out, t)\n" for k in range(len(units)))
+              + "    return out")
+    exec(compile(source, "<float_evaluator>", "exec"), calls)
+    return calls.pop("evaluate")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from polaris.cli import main
+from polaris.cli import MAX_TRIALS, main
 
 DEMO = {
     "space": "nambu_rk1",
@@ -62,6 +62,18 @@ def test_validate_deep_nesting(demo, expr, code):
     if code == 2:
         assert done.stderr.startswith("error:")
         assert "nested too deeply" in done.stderr
+
+
+def test_validate_deep_json(tmp_path):
+    # json.load gives up on deep nesting with RecursionError: bad input
+    path = tmp_path / "deep.json"
+    path.write_text('{"space": ' + "[" * 200_000)
+    cmd = [sys.executable, "-m", "polaris", "validate", str(path)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "not valid JSON" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_component_count_mismatch(demo, capsys):
@@ -217,6 +229,18 @@ def test_verify_seed_priority(demo, capsys, monkeypatch):
     assert "POLARIS_SEED" in err
 
 
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 100_000_000])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_verify_rejects_too_many_trials(demo, capsys, source, trials):
+    if source == "flag":
+        code, _, err = run(capsys, "verify", demo(DEMO), "--trials", str(trials))
+    else:
+        payload = dict(DEMO, tasks=dict(DEMO["tasks"], trials=trials))
+        code, _, err = run(capsys, "verify", demo(payload))
+    assert code == 2
+    assert err == f"error: trials must be between 1 and {MAX_TRIALS}\n"
+
+
 def test_verify_classical_section_at_k1(demo, capsys):
     payload = {"space": "canonical", "n": 1, "k": 1,
                "hamiltonians": {"A": ["q1^2*x1_1 + q1"]}}
@@ -270,6 +294,17 @@ def test_integrate_rejects_non_finite_input(tmp_path, t1_text, flags):
     assert "Traceback" not in done.stderr
 
 
+def test_integrate_rejects_unwritable_out(demo, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    cmd = [sys.executable, "-m", "polaris", "integrate", demo(DEMO), "H",
+           "--t1", "0.01", "--out", str(target)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_integrate_needs_initial_state(demo, capsys):
     payload = dict(DEMO, tasks={"t1": 1, "h": 0.001})
     code, _, err = run(capsys, "integrate", demo(payload), "H")
@@ -289,6 +324,17 @@ def test_integrate_blowup_reports_failure(demo, capsys):
     code, out, _ = run(capsys, "integrate", demo(payload), "H", "--flow", "nambu")
     assert code == 1
     assert "integration aborted" in out
+
+
+def test_integrate_float_overflow_reports_failure(demo, capsys):
+    # the field holds 31*q1^30, and q1 = 1e11 overflows its power
+    payload = {"space": "canonical", "n": 1, "k": 1,
+               "hamiltonians": {"H": ["q1*x1_1 + q1^31"]},
+               "tasks": {"x0": [1, 1e11], "t0": 0, "t1": 0.01, "h": 0.001}}
+    code, out, err = run(capsys, "integrate", demo(payload), "H")
+    assert code == 1
+    assert "integration aborted: float overflow" in out
+    assert err == ""
 
 
 def test_integrate_nambu_flow_on_pole_free_span(demo, capsys):

@@ -1,4 +1,4 @@
-"""Byte-for-byte golden output of `polaris verify`.
+"""Byte-for-byte golden output of `polaris verify` and `polaris integrate`.
 
 The expected stdout lives under tests/golden/, one text and one --json
 file per input, all run with `--trials 3` and the file's seed.  The
@@ -11,8 +11,22 @@ To re-record after an intended output change, run from the repo root:
 
     python -m polaris verify <input> --trials 3 [--json] \
         > tests/golden/<stem>.verify.{txt,json}
+
+`integrate` is pinned by its stdout and its trajectory CSV for three
+runs over [0, 0.05] with h = 0.001: the demo's hamiltonian and nambu
+flows, and a dense canonical (3,3) flow (`tests/golden/dense33.json`,
+cubic in the leaves).  Each run copies its input into an empty
+directory and names input and CSV by relative paths, so stdout holds
+no machine path.  To re-record, run in such a directory:
+
+    python -m polaris integrate <stem>.json H [flags] --out <case>.csv \
+        > <case>.integrate.txt
+
+and copy `<case>.integrate.txt` and `<case>.csv` (as
+`<case>.integrate.csv`) into tests/golden/.
 """
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -39,3 +53,24 @@ def test_verify_output_matches_golden(monkeypatch, capsys, stem, mode):
     assert main(argv) == exit_code
     expected = (GOLDEN / f"{stem}.verify.{mode}").read_bytes()
     assert capsys.readouterr().out.encode("ascii") == expected
+
+
+INTEGRATE_RUNS = {
+    "demo": ("problems/demo.json", ["--t1", "0.05"]),
+    "demo_nambu": ("problems/demo.json", ["--t1", "0.05", "--flow", "nambu"]),
+    "dense33": ("tests/golden/dense33.json", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRATE_RUNS))
+def test_integrate_output_matches_golden(monkeypatch, capsys, tmp_path, case):
+    source, flags = INTEGRATE_RUNS[case]
+    name = Path(source).name
+    shutil.copyfile(ROOT / source, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    argv = ["integrate", name, "H", *flags, "--out", f"{case}.csv"]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{case}.integrate.txt").read_bytes()
+    assert capsys.readouterr().out.encode("ascii") == expected
+    expected_csv = (GOLDEN / f"{case}.integrate.csv").read_bytes()
+    assert (tmp_path / f"{case}.csv").read_bytes() == expected_csv

@@ -1,9 +1,18 @@
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polaris.poly import DegreeOverflowError, MAX_EXPONENT, Polynomial
+from polaris import poly as poly_module
+from polaris.poly import (
+    DegreeOverflowError,
+    MAX_EXPONENT,
+    Polynomial,
+    float_evaluator,
+)
 
 # dim-3 scratch space: v0, v1, v2 with v2 playing the leaf role
 X = Polynomial.variable(3, 0)
@@ -134,3 +143,112 @@ def test_hash_matches_equality():
     b = ONE + Y * X
     assert a == b and hash(a) == hash(b)
     assert a != a + X
+
+
+# -- compiled float evaluation ----------------------------------------------
+
+
+def reference_evaluate(poly, point):
+    """The interpretive loop that `evaluate` ran before it was compiled:
+    the oracle the compiled evaluator must match bit for bit."""
+    total = 0.0
+    for exps, coeff in poly.ordered_terms():
+        value = float(coeff)
+        for i, e in enumerate(exps):
+            if e:
+                value *= point[i] ** e
+        total += value
+    return total
+
+
+def outcome(compute):
+    """Packed float64 bits of each value (so -0.0 and NaN count), or
+    OverflowError if the computation raised it."""
+    try:
+        values = compute()
+    except OverflowError:
+        return OverflowError
+    if not isinstance(values, list):
+        values = [values]
+    return [struct.pack("<d", v) for v in values]
+
+
+def magnitudes(limit):
+    return st.one_of(st.integers(1, 10**6), st.integers(1, 10**40),
+                     st.integers(1, limit))
+
+
+coefficients = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from([1, -1]), magnitudes(10**400), magnitudes(10**400))
+
+coordinates = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, -1]),
+    st.integers(-10**6, 10**6),
+    st.floats(),
+    st.floats(-2.0, 2.0))
+
+
+@st.composite
+def polynomials_and_point(draw):
+    dim = draw(st.integers(1, 12))
+    exps = st.tuples(*[st.integers(0, MAX_EXPONENT)] * dim)
+    polys = draw(st.lists(
+        st.dictionaries(exps, coefficients, max_size=8).map(
+            lambda terms: Polynomial(dim, terms)),
+        min_size=1, max_size=4))
+    point = draw(st.lists(coordinates, min_size=dim, max_size=dim))
+    return polys, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials_and_point(), st.sampled_from([1, 3, poly_module.UNIT_TERMS]))
+def test_compiled_evaluation_matches_reference_bit_for_bit(case, unit_terms):
+    polys, point = case
+    expected = outcome(lambda: [reference_evaluate(p, point) for p in polys])
+    saved = poly_module.UNIT_TERMS
+    poly_module.UNIT_TERMS = unit_terms  # small units split polynomials
+    try:
+        assert outcome(lambda: float_evaluator(polys)(point)) == expected
+    finally:
+        poly_module.UNIT_TERMS = saved
+    for poly in polys:
+        expected = outcome(lambda: reference_evaluate(poly, point))
+        assert outcome(lambda: poly.evaluate(point)) == expected
+        assert outcome(lambda: poly(tuple(point))) == expected
+
+
+def dense_poly(n_terms, seed=12):
+    rng = random.Random(seed)
+    terms = {}
+    while len(terms) < n_terms:
+        exps = tuple(rng.randint(0, 3) for _ in range(12))
+        terms[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 99),
+                               rng.randint(1, 99))
+    return Polynomial(12, terms), [rng.uniform(-1.1, 1.1) for _ in range(12)]
+
+
+def test_compiled_evaluation_of_many_terms():
+    poly, point = dense_poly(12_000)
+    assert outcome(lambda: poly.evaluate(point)) == \
+        outcome(lambda: reference_evaluate(poly, point))
+
+
+def test_compile_memory_is_bounded_by_the_unit():
+    poly, _ = dense_poly(2_000)
+    tracemalloc.start()
+    try:
+        float_evaluator([poly])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 2 000-term unit takes about 38 MiB to compile
+    assert peak < 12 * 2**20
+
+
+def test_float_evaluator_edge_cases():
+    assert float_evaluator([])((1.0,)) == []
+    assert outcome(lambda: float_evaluator([Polynomial.zero(2)])((0.0, 0.0))) \
+        == [struct.pack("<d", 0.0)]
+    with pytest.raises(ValueError):
+        float_evaluator([X, Polynomial.variable(2, 0)])
