@@ -252,6 +252,12 @@ def _resolve_seed(args, problem: Problem) -> int:
     return problem.tasks.get("seed", DEFAULT_SEED)
 
 
+def _fg_text(pf, names) -> tuple[str, str]:
+    """The "(f_1, ..., f_n)" and "(g^1, ..., g^k)" texts of a polarized form."""
+    return tuple("(" + ", ".join(p.to_string(names) for p in polys) + ")"
+                 for polys in (pf.f, pf.g))
+
+
 def _map_or_error(problem: Problem, name: str) -> RkMap:
     if name not in problem.hamiltonians:
         known = ", ".join(problem.hamiltonians) or "none"
@@ -277,8 +283,7 @@ def cmd_validate(args) -> int:
             maps_payload.append({"name": name, "polarized": False,
                                  "reason": str(exc)})
             continue
-        f_text = "(" + ", ".join(p.to_string(names) for p in pf.f) + ")"
-        g_text = "(" + ", ".join(p.to_string(names) for p in pf.g) + ")"
+        f_text, g_text = _fg_text(pf, names)
         lines.append(f"map {name}: polarized  f={f_text}  g={g_text}")
         maps_payload.append({"name": name, "polarized": True,
                              "f": f_text, "g": g_text})
@@ -302,9 +307,7 @@ def cmd_bracket(args) -> int:
     except NotPolarized as exc:
         raise ProblemError(f"bracket needs polarized maps: {exc}")
     value = bracket(pf_h, pf_k)
-    pf_value = decompose_polarized(value)
-    f_text = "(" + ", ".join(p.to_string(names) for p in pf_value.f) + ")"
-    g_text = "(" + ", ".join(p.to_string(names) for p in pf_value.g) + ")"
+    f_text, g_text = _fg_text(decompose_polarized(value), names)
     lines = [f"polaris bracket {problem.path}",
              f"{{{args.name_h},{args.name_k}}} = {value.to_string()}",
              f"f = {f_text}",
@@ -316,21 +319,25 @@ def cmd_bracket(args) -> int:
     return 0
 
 
-def cmd_field(args) -> int:
+def _field_command(args, command: str, label: str, build) -> int:
+    """Print the field `build(problem, H)` of the map named on the command line."""
     problem = load_problem(args.file)
-    H = _map_or_error(problem, args.name)
-    try:
-        pf = decompose_polarized(H)
-    except NotPolarized as exc:
-        raise ProblemError(f"the field of a map needs a polarized map: {exc}")
-    X = hamiltonian_field(pf)
-    lines = [f"polaris field {problem.path}",
-             f"X[{args.name}] = {X.to_string()}"]
-    report = {"command": "field", "file": problem.path,
+    X = build(problem, _map_or_error(problem, args.name))
+    lines = [f"polaris {command} {problem.path}",
+             f"{label}[{args.name}] = {X.to_string()}"]
+    report = {"command": command, "file": problem.path,
               "space": problem.space_kind, "chart": _chart_info(problem),
               "map": args.name, "components": X.to_string()}
     _emit(report, lines, args.json)
     return 0
+
+
+def _polarized_field(problem: Problem, H: RkMap):
+    try:
+        pf = decompose_polarized(H)
+    except NotPolarized as exc:
+        raise ProblemError(f"the field of a map needs a polarized map: {exc}")
+    return hamiltonian_field(pf)
 
 
 def _nambu_field(problem: Problem, H: RkMap):
@@ -341,17 +348,12 @@ def _nambu_field(problem: Problem, H: RkMap):
     raise ProblemError("nambu dynamics need space nambu_rk1 or nambu_r3n")
 
 
+def cmd_field(args) -> int:
+    return _field_command(args, "field", "X", _polarized_field)
+
+
 def cmd_nambu(args) -> int:
-    problem = load_problem(args.file)
-    H = _map_or_error(problem, args.name)
-    X = _nambu_field(problem, H)
-    lines = [f"polaris nambu {problem.path}",
-             f"XN[{args.name}] = {X.to_string()}"]
-    report = {"command": "nambu", "file": problem.path,
-              "space": problem.space_kind, "chart": _chart_info(problem),
-              "map": args.name, "components": X.to_string()}
-    _emit(report, lines, args.json)
-    return 0
+    return _field_command(args, "nambu", "XN", _nambu_field)
 
 
 def cmd_verify(args) -> int:
@@ -429,6 +431,14 @@ def cmd_integrate(args) -> int:
     # so a step above 3 such ulp keeps the grid strictly increasing
     if h <= 3 * math.ulp(max(abs(t0), abs(t1))):
         raise ProblemError("step size is below the float resolution of t0..t1")
+    # a path that can never be opened is refused before the integration
+    # runs; the write below still reports whatever else opening it meets
+    if args.out:
+        folder = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):
+            raise ProblemError(f"cannot write {args.out}: it is a directory")
+        if not os.path.isdir(folder):
+            raise ProblemError(f"cannot write {args.out}: no directory {folder}")
 
     if args.flow == "hamiltonian":
         try:
@@ -447,8 +457,7 @@ def cmd_integrate(args) -> int:
               "map": args.name, "flow": args.flow,
               "t0": t0, "t1": t1, "h": h, "x0": x0}
     try:
-        traj = rk4_integrate(X, x0, t0, t1, h,
-                             field_id=f"{args.flow}[{args.name}]")
+        traj = rk4_integrate(X, x0, t0, t1, h)
         drift = conservation_report(H, traj)
     except (BlowUpError, OverflowError) as exc:
         reason = str(exc) if isinstance(exc, BlowUpError) \
@@ -535,9 +544,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ProblemError as exc:
-        return _fail(str(exc))
-    except ParseError as exc:
+    except (ProblemError, ParseError) as exc:
         return _fail(str(exc))
 
 

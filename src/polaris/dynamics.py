@@ -43,7 +43,6 @@ class ScaleVanishedError(RuntimeError):
 class Trajectory:
     times: tuple[float, ...]
     states: tuple[tuple[float, ...], ...]
-    field_id: str = ""
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -89,7 +88,7 @@ def _time_grid(t0: float, t1: float, h: float) -> list[float]:
 
 
 def rk4_integrate(X: VectorField, x0: Sequence[float], t0: float, t1: float,
-                  h: float, field_id: str = "") -> Trajectory:
+                  h: float) -> Trajectory:
     """Classical 4th-order Runge-Kutta with a shortened final step.
 
     The last grid point lands exactly on t1.  Integration aborts with
@@ -121,7 +120,7 @@ def rk4_integrate(X: VectorField, x0: Sequence[float], t0: float, t1: float,
                 raise BlowUpError(t_next, v)
         times.append(t_next)
         states.append(tuple(state))
-    return Trajectory(tuple(times), tuple(states), field_id)
+    return Trajectory(tuple(times), tuple(states))
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,8 @@ def compare_flows(Xa: VectorField, Xb: VectorField, scale: Polynomial,
         raise ValueError("chart mismatch")
     if scale.dim != Xa.chart.dim:
         raise ValueError("scale dimension does not match the chart")
-    traj_a = rk4_integrate(Xa, x0, t0, t1, h, field_id="lhs")
-    traj_b = rk4_integrate(Xb, x0, t0, t1, h, field_id="rhs")
+    traj_a = rk4_integrate(Xa, x0, t0, t1, h)
+    traj_b = rk4_integrate(Xb, x0, t0, t1, h)
     dim = Xa.chart.dim
     scale_at = float_evaluator([scale])
     field_a = float_evaluator([Xa.component(i) for i in range(dim)])

@@ -217,10 +217,8 @@ class VectorField:
         """Directional derivative sum_i X^i dp/dx^i."""
         if poly.dim != self.chart.dim:
             raise ValueError("polynomial dimension does not match the chart")
-        total = Polynomial.zero(self.chart.dim)
-        for idx, comp in self.components():
-            total = total + comp * poly.partial(idx)
-        return total
+        return Polynomial.sum(self.chart.dim, (comp * poly.partial(idx)
+                                               for idx, comp in self.components()))
 
     def restrict(self, indices: Iterable[int]) -> "VectorField":
         """Keep only the named component slots."""
@@ -230,14 +228,9 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_same_chart(self, other)
-        acc = dict(self._comps)
-        for idx, poly in other._comps.items():
-            total = acc.get(idx, Polynomial.zero(self.chart.dim)) + poly
-            if total.is_zero:
-                acc.pop(idx, None)
-            else:
-                acc[idx] = total
-        return VectorField(self.chart, acc)
+        return VectorField(self.chart, {
+            i: self.component(i) + other.component(i)
+            for i in sorted(self._comps.keys() | other._comps.keys())})
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return self + (-other)
@@ -358,13 +351,11 @@ def interior_product(X: VectorField, theta: RationalMatrix) -> tuple[Polynomial,
     chart = X.chart
     if theta.rows != chart.dim or theta.cols != chart.dim:
         raise ValueError("form shape does not match the chart")
-    row = [Polynomial.zero(chart.dim) for _ in range(chart.dim)]
-    for idx, comp in X.components():
-        for j in range(chart.dim):
-            coeff = theta.entry(idx, j)
-            if coeff:
-                row[j] = row[j] + comp * coeff
-    return tuple(row)
+    comps = X.components()
+    return tuple(
+        Polynomial.sum(chart.dim, (comp * theta.entry(idx, j)
+                                   for idx, comp in comps if theta.entry(idx, j)))
+        for j in range(chart.dim))
 
 
 def exterior_derivative_one_form(
@@ -386,13 +377,10 @@ def xi_pairing(beta: OneFormRk, X: VectorField) -> RkMap:
     """The pairing <beta, X>: component p is sum_j beta^p_j X^j."""
     _check_same_chart(beta, X)
     chart = X.chart
-    comps = []
-    for p in range(chart.k):
-        total = Polynomial.zero(chart.dim)
-        for j, xj in X.components():
-            total = total + beta.entry(p, j) * xj
-        comps.append(total)
-    return RkMap(chart, comps)
+    comps = X.components()
+    return RkMap(chart, [Polynomial.sum(chart.dim, (beta.entry(p, j) * xj
+                                                    for j, xj in comps))
+                         for p in range(chart.k)])
 
 
 # -- k-symplectic structures ----------------------------------------------

@@ -24,6 +24,7 @@ Under these conventions the field map reverses bracket order:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .geometry import (
@@ -78,14 +79,11 @@ class PolarizedForm:
         self.chart = chart
         self.f = f
         self.g = g
-        comps = []
-        for p in range(1, chart.k + 1):
-            total = g[p - 1]
-            for j in range(1, chart.n + 1):
-                xpj = Polynomial.variable(chart.dim, chart.fiber_index(p, j))
-                total = total + f[j - 1] * xpj
-            comps.append(total)
-        self._map = RkMap(chart, comps)
+        self._map = RkMap(chart, [
+            Polynomial.sum(chart.dim, [g[p - 1]] + [
+                f[j - 1] * Polynomial.variable(chart.dim, chart.fiber_index(p, j))
+                for j in range(1, chart.n + 1)])
+            for p in range(1, chart.k + 1)])
 
     def to_map(self) -> RkMap:
         """H^p = sum_j f_j x^{pj} + g^p, built once from (f, g)."""
@@ -118,7 +116,7 @@ def decompose_polarized(H: RkMap) -> PolarizedForm:
         poly = H[p - 1]
         f_terms: list[dict] = [dict() for _ in range(chart.n)]
         g_terms: dict = {}
-        for exps, coeff in poly.terms.items():
+        for exps, coeff in poly.ordered_terms():
             fiber_degree = sum(exps[i] for i in chart.fiber_indices)
             if fiber_degree == 0:
                 g_terms[exps] = coeff
@@ -164,14 +162,20 @@ def hamiltonian_field(pf: PolarizedForm) -> VectorField:
     comps: dict[int, Polynomial] = {}
     for p in range(1, chart.k + 1):
         for s in range(1, chart.n + 1):
-            dHp_ds = H[p - 1].partial(chart.leaf_index(s))
-            if not dHp_ds.is_zero:
-                comps[chart.fiber_index(p, s)] = -dHp_ds
+            comps[chart.fiber_index(p, s)] = -H[p - 1].partial(chart.leaf_index(s))
     for s in range(1, chart.n + 1):
-        fs = pf.f[s - 1]
-        if not fs.is_zero:
-            comps[chart.leaf_index(s)] = fs
+        comps[chart.leaf_index(s)] = pf.f[s - 1]
     return VectorField(chart, comps)
+
+
+def _coordinate_component(A: Polynomial, B: Polynomial, chart: Chart,
+                          p: int) -> Polynomial:
+    """sum_s (dA/dx^s dB/dx^{ps} - dA/dx^{ps} dB/dx^s) for 1-based p."""
+    # generators, so that one product at a time is alive beside the sum
+    pairs = list(zip(chart.leaf_indices, chart.fiber_block(p)))
+    return Polynomial.sum(chart.dim, chain(
+        (A.partial(leaf) * B.partial(fib) for leaf, fib in pairs),
+        (-(A.partial(fib) * B.partial(leaf)) for leaf, fib in pairs)))
 
 
 def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
@@ -183,16 +187,8 @@ def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
         raise ValueError("chart mismatch")
     chart = H.chart
     Hm, Km = H.to_map(), K.to_map()
-    comps = []
-    for p in range(1, chart.k + 1):
-        total = chart.zero()
-        for s in range(1, chart.n + 1):
-            leaf = chart.leaf_index(s)
-            fib = chart.fiber_index(p, s)
-            total = total + (Hm[p - 1].partial(leaf) * Km[p - 1].partial(fib)
-                             - Hm[p - 1].partial(fib) * Km[p - 1].partial(leaf))
-        comps.append(total)
-    return RkMap(chart, comps)
+    return RkMap(chart, [_coordinate_component(Hm[p - 1], Km[p - 1], chart, p)
+                         for p in range(1, chart.k + 1)])
 
 
 def theta_pairing(theta: RationalMatrix, X: VectorField,
@@ -200,13 +196,10 @@ def theta_pairing(theta: RationalMatrix, X: VectorField,
     """theta(X, Y) = sum_{ij} theta[i,j] X^i Y^j with polynomial entries."""
     if X.chart != Y.chart:
         raise ValueError("chart mismatch")
-    total = Polynomial.zero(X.chart.dim)
-    for i, xi in X.components():
-        for j, yj in Y.components():
-            coeff = theta.entry(i, j)
-            if coeff:
-                total = total + xi * yj * coeff
-    return total
+    ys = Y.components()
+    return Polynomial.sum(X.chart.dim, (xi * yj * theta.entry(i, j)
+                                        for i, xi in X.components()
+                                        for j, yj in ys if theta.entry(i, j)))
 
 
 def bracket_via_theta(H: PolarizedForm, K: PolarizedForm) -> RkMap:
@@ -271,27 +264,23 @@ class GeneralPoissonTensor:
 
     def with_entries(self, extra: Mapping[tuple[int, int, int, int, int],
                                           Polynomial | int]) -> "GeneralPoissonTensor":
-        merged: dict = dict(self._entries)
-        tweak = GeneralPoissonTensor(self.chart, extra)
-        for key, coeff in tweak._entries.items():
-            total = merged.get(key, self.chart.zero()) + coeff
-            if total.is_zero:
-                merged.pop(key, None)
-            else:
-                merged[key] = total
-        return GeneralPoissonTensor(self.chart, merged)
+        tweak = GeneralPoissonTensor(self.chart, extra)._entries
+        zero = self.chart.zero()
+        return GeneralPoissonTensor(self.chart, {
+            key: self._entries.get(key, zero) + tweak.get(key, zero)
+            for key in sorted(self._entries.keys() | tweak.keys())})
 
     def apply(self, alpha: OneFormRk, beta: OneFormRk) -> RkMap:
         chart = self.chart
         if alpha.chart != chart or beta.chart != chart:
             raise ValueError("chart mismatch")
-        comps = [chart.zero() for _ in range(chart.k)]
+        terms: list[list[Polynomial]] = [[] for _ in range(chart.k)]
         for (i, j, p, q, r), coeff in self._entries.items():
             wedge = (alpha.entry(p, i) * beta.entry(q, j)
                      - beta.entry(p, i) * alpha.entry(q, j))
             if not wedge.is_zero:
-                comps[r] = comps[r] + coeff * wedge
-        return RkMap(chart, comps)
+                terms[r].append(coeff * wedge)
+        return RkMap(chart, [Polynomial.sum(chart.dim, t) for t in terms])
 
     def __eq__(self, other):
         if not isinstance(other, GeneralPoissonTensor):
@@ -365,16 +354,11 @@ def zeta_inverse(omega: Sequence[Polynomial],
         raise ValueError("one-form length does not match the chart")
     # i(X)theta reads sum_i X^i theta[i,j] = omega_j, i.e. theta^T X = omega
     inverse = invert(structure.theta(0).transpose())
-    comps = {}
-    for i in range(chart.dim):
-        total = chart.zero()
-        for j in range(chart.dim):
-            coeff = inverse.entry(i, j)
-            if coeff:
-                total = total + omega[j] * coeff
-        if not total.is_zero:
-            comps[i] = total
-    return VectorField(chart, comps)
+    return VectorField(chart, {
+        i: Polynomial.sum(chart.dim, (omega[j] * inverse.entry(i, j)
+                                      for j in range(chart.dim)
+                                      if inverse.entry(i, j)))
+        for i in range(chart.dim)})
 
 
 def classical_bracket(H: Polynomial, K: Polynomial, chart: Chart) -> Polynomial:
@@ -385,13 +369,7 @@ def classical_bracket(H: Polynomial, K: Polynomial, chart: Chart) -> Polynomial:
     _require_k1(chart)
     if H.dim != chart.dim or K.dim != chart.dim:
         raise ValueError("polynomial dimension does not match the chart")
-    total = chart.zero()
-    for i in range(1, chart.n + 1):
-        leaf = chart.leaf_index(i)
-        fib = chart.fiber_index(1, i)
-        total = total + (H.partial(leaf) * K.partial(fib)
-                         - H.partial(fib) * K.partial(leaf))
-    return total
+    return _coordinate_component(H, K, chart, 1)
 
 
 # -- identity checks ---------------------------------------------------------

@@ -113,15 +113,15 @@ def jacobian_det(fs: Sequence[Polynomial], variables: Sequence[int]) -> Polynomi
         size = len(matrix)
         if size == 1:
             return matrix[0][0]
-        total = Polynomial.zero(matrix[0][0].dim)
+        cofactors = []
         for col in range(size):
             entry = matrix[0][col]
             if entry.is_zero:
                 continue
             minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
             cofactor = entry * det(minor)
-            total = total + (cofactor if col % 2 == 0 else -cofactor)
-        return total
+            cofactors.append(cofactor if col % 2 == 0 else -cofactor)
+        return Polynomial.sum(matrix[0][0].dim, cofactors)
 
     return det(rows)
 
@@ -144,19 +144,16 @@ def nambu_field_rk1(H: RkMap, space: NambuSpaceRk1) -> VectorField:
     coords = list(range(1, dim + 1))
     for j in coords:
         rest = [i for i in coords if i != j]
-        total = Polynomial.zero(space.chart.dim)
+        terms = []
         for perm in permutations(rest):
-            sign = levi_civita((j,) + perm)
-            term = Polynomial.constant(space.chart.dim, sign)
-            for m, i in enumerate(perm):
-                factor = grads[m][i - 1]
-                if factor.is_zero:
-                    term = Polynomial.zero(space.chart.dim)
-                    break
+            factors = [grads[m][i - 1] for m, i in enumerate(perm)]
+            if any(factor.is_zero for factor in factors):
+                continue
+            term = Polynomial.constant(space.chart.dim, levi_civita((j,) + perm))
+            for factor in factors:
                 term = term * factor
-            total = total + term
-        if not total.is_zero:
-            comps[space.coordinate_index(j)] = total
+            terms.append(term)
+        comps[space.coordinate_index(j)] = Polynomial.sum(space.chart.dim, terms)
     return VectorField(space.chart, comps)
 
 
@@ -176,9 +173,7 @@ def nambu_field_r3n(H1: Polynomial, H2: Polynomial,
     for i in range(1, space.n + 1):
         xi, yi, zi = space.triple_indices(i)
         for target, vars_ in ((xi, (yi, zi)), (yi, (zi, xi)), (zi, (xi, yi))):
-            value = jacobian_det(pair, vars_)
-            if not value.is_zero:
-                comps[target] = value
+            comps[target] = jacobian_det(pair, vars_)
     return VectorField(chart, comps)
 
 
@@ -189,10 +184,9 @@ def nambu_bracket_r3n(f: Polynomial, H1: Polynomial, H2: Polynomial,
     for poly in (f, H1, H2):
         if poly.dim != chart.dim:
             raise ValueError("polynomial dimension does not match the space")
-    total = Polynomial.zero(chart.dim)
-    for i in range(1, space.n + 1):
-        total = total + jacobian_det([f, H1, H2], space.triple_indices(i))
-    return total
+    return Polynomial.sum(chart.dim,
+                          (jacobian_det([f, H1, H2], space.triple_indices(i))
+                           for i in range(1, space.n + 1)))
 
 
 @dataclass(frozen=True)

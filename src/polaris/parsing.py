@@ -122,12 +122,12 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> Polynomial:
-        value = self.parse_term()
+        summands = [self.parse_term()]
         while self.current.kind in "+-":
             op = self.advance()
             rhs = self.parse_term()
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
+            summands.append(rhs if op.kind == "+" else -rhs)
+        return Polynomial.sum(self.chart.dim, summands)
 
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()

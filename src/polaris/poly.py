@@ -18,7 +18,7 @@ not re-read the exact term maps on every call.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 from types import MappingProxyType
 
 # Hard per-variable exponent cap; exceeding it aborts the computation
@@ -90,6 +90,32 @@ class Polynomial:
         return cls(dim)
 
     @classmethod
+    def sum(cls, dim: int, polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of `polys`, all over `dim` variables; `+` delegates here.
+
+        All terms go into one map, a copy of the first operand's terms, so
+        a sum of m operands copies one map instead of m - 1 partial sums.
+        """
+        acc = None
+        for poly in polys:
+            if poly.dim != dim:
+                raise ValueError(f"dimension mismatch: {dim} vs {poly.dim}")
+            if acc is None:
+                acc = dict(poly._terms)
+                continue
+            for exps, coeff in poly._terms.items():
+                old = acc.get(exps)
+                if old is None:
+                    acc[exps] = coeff
+                else:
+                    total = old + coeff
+                    if total:
+                        acc[exps] = total
+                    else:
+                        del acc[exps]
+        return cls._raw(dim, {} if acc is None else acc)
+
+    @classmethod
     def constant(cls, dim: int, value: Coefficient) -> "Polynomial":
         return cls(dim, {(0,) * dim: value})
 
@@ -127,25 +153,12 @@ class Polynomial:
 
     # -- ring operations ------------------------------------------------
 
-    def _check_dim(self, other: "Polynomial"):
-        if self.dim != other.dim:
-            raise ValueError(
-                f"dimension mismatch: {self.dim} vs {other.dim}")
-
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.dim, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_dim(other)
-        acc = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            total = acc.get(exps, Fraction(0)) + coeff
-            if total:
-                acc[exps] = total
-            else:
-                acc.pop(exps, None)
-        return Polynomial._raw(self.dim, acc)
+        return Polynomial.sum(self.dim, (self, other))
 
     __radd__ = __add__
 
@@ -172,7 +185,8 @@ class Polynomial:
                 self.dim, {e: c * scalar for e, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_dim(other)
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         # cheap sufficient bound: per-variable maxima decide whether any
         # product term could break the exponent cap
         check_cap = False

@@ -48,6 +48,22 @@ def test_validate_reports_failure_reason(demo, capsys):
     assert "nonlinear-in-fiber" in out
 
 
+@pytest.mark.parametrize("n, k, first, second", [
+    (1, 1, ["x1_1^2*q1 + x1_1^3"], ["x1_1^3 + x1_1^2*q1"]),
+    (2, 2, ["x2_1*q1 + x2_2", "x2_1"], ["x2_2 + x2_1*q1", "x2_1"]),
+], ids=["fiber-degree", "cross-block"])
+def test_validate_reason_ignores_term_spelling(demo, capsys, n, k, first, second):
+    reports = []
+    for exprs in (first, second):
+        payload = {"space": "canonical", "n": n, "k": k,
+                   "hamiltonians": {"A": exprs}}
+        code, out, _ = run(capsys, "validate", demo(payload), "--json")
+        assert code == 0
+        reports.append(json.loads(out)["maps"])
+    assert reports[0] == reports[1]
+    assert not reports[0][0]["polarized"]
+
+
 @pytest.mark.parametrize("expr, code", [
     ("(" * 3000 + "z" + ")" * 3000, 2),
     ("-" * 3000 + "z", 2),
@@ -303,6 +319,23 @@ def test_integrate_rejects_unwritable_out(demo, tmp_path):
     assert done.stderr.startswith("error: cannot write")
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("where", ["missing-folder", "folder"])
+def test_integrate_checks_out_before_integrating(demo, capsys, tmp_path,
+                                                 monkeypatch, where):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking --out")
+
+    monkeypatch.setattr("polaris.cli.rk4_integrate", never)
+    monkeypatch.setattr("polaris.cli.hamiltonian_field", never)
+    target = tmp_path / "missing" / "x.csv" if where == "missing-folder" else tmp_path
+    code, out, err = run(capsys, "integrate", demo(DEMO), "H",
+                         "--t1", "0.5", "--h", "0.00001", "--out", str(target))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}")
+    assert out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_integrate_needs_initial_state(demo, capsys):
