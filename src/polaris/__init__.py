@@ -50,7 +50,6 @@ from .nambu import (
     NambuSpaceRk1,
     RelationReport,
     jacobian_det,
-    levi_civita,
     nambu_bracket_r3n,
     nambu_field_r3n,
     nambu_field_rk1,

@@ -15,7 +15,8 @@ Problem files are strict JSON documents:
 
 Unknown keys anywhere are errors.  "canonical" needs n and k; "nambu_rk1"
 needs k >= 2 (n is fixed at 1); "nambu_r3n" needs n >= 1 (k is fixed
-at 2).  Hamiltonian maps list one expression per component (k of them).
+at 2); the chart dimension n(k+1) is at most MAX_DIM.  Hamiltonian maps
+list one expression per component (k of them).
 "poisson_perturbation" adds wedge coefficients to the canonical Poisson
 tensor and exists for fault-injection fixtures.
 
@@ -54,6 +55,7 @@ from .hamiltonian import (
 )
 from .nambu import NambuSpaceR3n, NambuSpaceRk1, nambu_field_r3n, nambu_field_rk1
 from .parsing import ParseError, parse_polynomial
+from .poly import DegreeOverflowError
 from .sampling import DEFAULT_SEED
 
 SPACES = ("canonical", "nambu_rk1", "nambu_r3n")
@@ -64,6 +66,9 @@ PERTURBATION_KEYS = {"i", "j", "p", "q", "r", "coeff"}
 # each trial runs the whole random corpus once; beyond this a typo such as
 # --trials 100000000 would run for hours without output
 MAX_TRIALS = 10_000
+# largest chart dimension n(k+1); the structure checks grow so fast with it
+# that verify on a file holding only "n": 20, "k": 20 takes a minute
+MAX_DIM = 64
 
 
 class ProblemError(ValueError):
@@ -86,10 +91,14 @@ def _require(condition: bool, message: str):
         raise ProblemError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; `true` and `false` are not, though Python's bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_field(raw: dict, key: str, minimum: int) -> int:
     value = raw[key]
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{key!r} must be an integer")
+    _require(_is_int(value), f"{key!r} must be an integer")
     _require(value >= minimum, f"{key!r} must be at least {minimum}")
     return value
 
@@ -114,28 +123,32 @@ def load_problem(path: str) -> Problem:
              and all(isinstance(k, str) and isinstance(v, str)
                      for k, v in aliases.items()),
              "'aliases' must map strings to strings")
+    if kind == "canonical":
+        _require("n" in raw and "k" in raw,
+                 "canonical space needs both 'n' and 'k'")
+        n, k = _int_field(raw, "n", 1), _int_field(raw, "k", 1)
+    elif kind == "nambu_rk1":
+        _require("k" in raw, "nambu_rk1 needs 'k'")
+        _require("n" not in raw or _int_field(raw, "n", 1) == 1,
+                 "nambu_rk1 fixes n = 1")
+        n, k = 1, _int_field(raw, "k", 2)
+    else:
+        _require("n" in raw, "nambu_r3n needs 'n'")
+        _require("k" not in raw or _int_field(raw, "k", 1) == 2,
+                 "nambu_r3n fixes k = 2")
+        n, k = _int_field(raw, "n", 1), 2
+    # before any chart is built: that too grows with the dimension
+    _require(n * (k + 1) <= MAX_DIM,
+             f"chart dimension n(k+1) = {n * (k + 1)} exceeds {MAX_DIM}")
     try:
         if kind == "canonical":
-            _require("n" in raw and "k" in raw,
-                     "canonical space needs both 'n' and 'k'")
-            chart = Chart(_int_field(raw, "n", 1), _int_field(raw, "k", 1),
-                          aliases)
             space = None
-        elif kind == "nambu_rk1":
-            _require("k" in raw, "nambu_rk1 needs 'k'")
-            if "n" in raw:
-                _require(_int_field(raw, "n", 1) == 1, "nambu_rk1 fixes n = 1")
-            space = NambuSpaceRk1(_int_field(raw, "k", 2), aliases)
-            chart = space.chart
+            chart = Chart(n, k, aliases)
         else:
-            _require("n" in raw, "nambu_r3n needs 'n'")
-            if "k" in raw:
-                _require(_int_field(raw, "k", 1) == 2, "nambu_r3n fixes k = 2")
-            space = NambuSpaceR3n(_int_field(raw, "n", 1), aliases)
+            space = (NambuSpaceRk1(k, aliases) if kind == "nambu_rk1"
+                     else NambuSpaceR3n(n, aliases))
             chart = space.chart
     except ValueError as exc:
-        if isinstance(exc, ProblemError):
-            raise
         raise ProblemError(str(exc)) from None
 
     maps_raw = raw.get("hamiltonians", {})
@@ -176,13 +189,9 @@ def load_problem(path: str) -> Problem:
                      and not isinstance(tasks[key], bool),
                      f"{key!r} must be a number")
     if "seed" in tasks:
-        _require(isinstance(tasks["seed"], int)
-                 and not isinstance(tasks["seed"], bool),
-                 "'seed' must be an integer")
+        _require(_is_int(tasks["seed"]), "'seed' must be an integer")
     if "trials" in tasks:
-        _require(isinstance(tasks["trials"], int)
-                 and not isinstance(tasks["trials"], bool)
-                 and tasks["trials"] >= 1,
+        _require(_is_int(tasks["trials"]) and tasks["trials"] >= 1,
                  "'trials' must be a positive integer")
 
     tensor = canonical_poisson_tensor(chart)
@@ -205,7 +214,7 @@ def load_problem(path: str) -> Problem:
                 raise ProblemError(
                     f"perturbation {pos}: unknown variable name") from None
             for comp_key in ("p", "q", "r"):
-                _require(isinstance(entry[comp_key], int)
+                _require(_is_int(entry[comp_key])
                          and 1 <= entry[comp_key] <= chart.k,
                          f"perturbation {pos}: {comp_key} must be in 1..{chart.k}")
             try:
@@ -544,7 +553,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ProblemError, ParseError) as exc:
+    except (ProblemError, ParseError, DegreeOverflowError) as exc:
         return _fail(str(exc))
 
 

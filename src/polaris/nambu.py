@@ -1,12 +1,15 @@
 """Nambu dynamics on the two canonical model spaces.
 
-R^(k+1) with coordinates (x^1..x^k, z) carries the k canonical forms
-dx^p ^ dz; the Nambu field of a map H into R^k contracts the gradient
-rows of H^1..H^k with the Levi-Civita symbol.  R^(3n) with coordinates
+Both Nambu fields are signed maximal minors of a gradient matrix, all
+taken by the one determinant routine `det`.  R^(k+1) with coordinates
+(x^1..x^k, z) carries the k canonical forms dx^p ^ dz; the Nambu field
+of a map H into R^k has as component j the minor of the k x (k+1)
+gradient matrix of H^1..H^k without column j, times (-1)^(j-1): the
+Levi-Civita contraction of its rows.  R^(3n) with coordinates
 (x^i, y^i, z^i) carries the two forms sum dx^i ^ dz^i and
-sum dy^i ^ dz^i; the Nambu field of a pair (H^1, H^2) is built from
-2x2 Jacobian determinants per coordinate triple, and the ternary
-bracket from 3x3 determinants.
+sum dy^i ^ dz^i; the Nambu field of a pair (H^1, H^2) takes per
+coordinate triple the three signed 2x2 minors of the 2x3 gradient
+block, and the ternary bracket sums 3x3 Jacobian determinants.
 
 Both spaces are thin relabelings of canonical charts (n = 1 for the
 first, k = 2 for the second), so every polarized-map operation applies
@@ -16,7 +19,6 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 from .geometry import Chart, RkMap, VectorField
@@ -84,21 +86,43 @@ class NambuSpaceR3n:
                 chart.leaf_index(i))
 
 
-def levi_civita(indices: Sequence[int]) -> int:
-    """Sign of the permutation written in 1-based values; 0 on repeats."""
-    m = len(indices)
-    for idx in indices:
-        if not 1 <= idx <= m:
-            raise ValueError(f"index {idx} out of range 1..{m}")
-    if len(set(indices)) != m:
-        return 0
-    sign = 1
-    seq = list(indices)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Exact determinant of a square polynomial matrix.
+
+    Cofactor expansion down the rows, skipping zero entries.  The minor
+    on the bottom rows and a given set of columns is computed once and
+    reused, so an m x m determinant takes at most m 2^(m-1) products
+    rather than the m! of a plain expansion.
+    """
+    size = len(matrix)
+    dim = matrix[0][0].dim
+    memo = {}
+
+    def minor(cols):
+        if len(cols) == 1:
+            return matrix[-1][cols[0]]
+        found = memo.get(cols)
+        if found is None:
+            row = matrix[size - len(cols)]
+            cofactors = []
+            for pos, col in enumerate(cols):
+                if row[col].is_zero:
+                    continue
+                cofactor = row[col] * minor(cols[:pos] + cols[pos + 1:])
+                cofactors.append(cofactor if pos % 2 == 0 else -cofactor)
+            found = memo[cols] = Polynomial.sum(dim, cofactors)
+        return found
+
+    return minor(tuple(range(size)))
+
+
+def _signed_minors(rows: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
+    """(-1)^c times the minor without column c, for each column c of an
+    m x (m+1) matrix: the contraction of its rows with the Levi-Civita
+    symbol."""
+    minors = (det([row[:col] + row[col + 1:] for row in rows])
+              for col in range(len(rows) + 1))
+    return [minor if col % 2 == 0 else -minor for col, minor in enumerate(minors)]
 
 
 def jacobian_det(fs: Sequence[Polynomial], variables: Sequence[int]) -> Polynomial:
@@ -107,54 +131,19 @@ def jacobian_det(fs: Sequence[Polynomial], variables: Sequence[int]) -> Polynomi
         raise ValueError("one differentiation variable per function required")
     if not fs:
         raise ValueError("empty determinant")
-    rows = [[f.partial(v) for v in variables] for f in fs]
-
-    def det(matrix):
-        size = len(matrix)
-        if size == 1:
-            return matrix[0][0]
-        cofactors = []
-        for col in range(size):
-            entry = matrix[0][col]
-            if entry.is_zero:
-                continue
-            minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-            cofactor = entry * det(minor)
-            cofactors.append(cofactor if col % 2 == 0 else -cofactor)
-        return Polynomial.sum(matrix[0][0].dim, cofactors)
-
-    return det(rows)
+    return det([[f.partial(v) for v in variables] for f in fs])
 
 
 def nambu_field_rk1(H: RkMap, space: NambuSpaceRk1) -> VectorField:
-    """Levi-Civita contraction field on R^(k+1):
-
-    component j = sum over tuples  e_{j i_1..i_k}  prod_m dH^m/dx^{i_m}
-
-    Only permutations of the complement of j contribute, so the sum runs
-    over those k! orderings instead of all (k+1)^k index tuples.
+    """Levi-Civita contraction field on R^(k+1): with coordinates ordered
+    x^1..x^k, z, component j is (-1)^(j-1) times the minor of the k x (k+1)
+    gradient matrix (dH^m/dx^i) without column j.
     """
     if H.chart != space.chart:
         raise ValueError("map does not live on this space")
-    k = space.k
-    dim = space.dim
-    grads = [[H[m].partial(space.coordinate_index(i)) for i in range(1, dim + 1)]
-             for m in range(k)]
-    comps = {}
-    coords = list(range(1, dim + 1))
-    for j in coords:
-        rest = [i for i in coords if i != j]
-        terms = []
-        for perm in permutations(rest):
-            factors = [grads[m][i - 1] for m, i in enumerate(perm)]
-            if any(factor.is_zero for factor in factors):
-                continue
-            term = Polynomial.constant(space.chart.dim, levi_civita((j,) + perm))
-            for factor in factors:
-                term = term * factor
-            terms.append(term)
-        comps[space.coordinate_index(j)] = Polynomial.sum(space.chart.dim, terms)
-    return VectorField(space.chart, comps)
+    coords = [space.coordinate_index(i) for i in range(1, space.dim + 1)]
+    grads = [[H[m].partial(c) for c in coords] for m in range(space.k)]
+    return VectorField(space.chart, dict(zip(coords, _signed_minors(grads))))
 
 
 def nambu_field_r3n(H1: Polynomial, H2: Polynomial,
@@ -164,16 +153,18 @@ def nambu_field_r3n(H1: Polynomial, H2: Polynomial,
     dx^i/dt = D(H1,H2)/D(y^i,z^i)
     dy^i/dt = D(H1,H2)/D(z^i,x^i)
     dz^i/dt = D(H1,H2)/D(x^i,y^i)
+
+    that is, the signed 2x2 minors of the 2x3 gradient block of (H1, H2)
+    in (x^i, y^i, z^i).
     """
     chart = space.chart
     if H1.dim != chart.dim or H2.dim != chart.dim:
         raise ValueError("polynomial dimension does not match the space")
     comps = {}
-    pair = [H1, H2]
     for i in range(1, space.n + 1):
-        xi, yi, zi = space.triple_indices(i)
-        for target, vars_ in ((xi, (yi, zi)), (yi, (zi, xi)), (zi, (xi, yi))):
-            comps[target] = jacobian_det(pair, vars_)
+        triple = space.triple_indices(i)
+        block = [[H.partial(c) for c in triple] for H in (H1, H2)]
+        comps.update(zip(triple, _signed_minors(block)))
     return VectorField(chart, comps)
 
 

@@ -47,7 +47,7 @@ def _as_fraction(value) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial over `dim` variables."""
 
-    __slots__ = ("dim", "_terms", "_hash", "_ordered", "_float")
+    __slots__ = ("dim", "_terms", "_hash", "_float")
 
     def __init__(self, dim: int, terms: Mapping[tuple[int, ...], Coefficient] = ()):
         if dim < 1:
@@ -68,7 +68,6 @@ class Polynomial:
         self.dim = dim
         self._terms = clean
         self._hash = None
-        self._ordered = None
         self._float = None
 
     # -- constructors ---------------------------------------------------
@@ -81,7 +80,6 @@ class Polynomial:
         self.dim = dim
         self._terms = terms
         self._hash = None
-        self._ordered = None
         self._float = None
         return self
 
@@ -139,10 +137,7 @@ class Polynomial:
 
     def ordered_terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Terms in canonical (descending lexicographic) order."""
-        if self._ordered is None:
-            self._ordered = tuple(
-                (e, self._terms[e]) for e in sorted(self._terms, reverse=True))
-        return self._ordered
+        return tuple((e, self._terms[e]) for e in sorted(self._terms, reverse=True))
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exps), Fraction(0))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from polaris.cli import MAX_TRIALS, main
+from polaris.cli import MAX_DIM, MAX_TRIALS, main
 
 DEMO = {
     "space": "nambu_rk1",
@@ -119,6 +119,59 @@ def test_unknown_variable_rejected(demo, capsys):
     code, _, err = run(capsys, "validate", demo(payload))
     assert code == 2
     assert "unknown variable" in err
+
+
+@pytest.mark.parametrize("space, size", [
+    ({"space": "canonical", "n": MAX_DIM // 2, "k": 1}, MAX_DIM),
+    ({"space": "canonical", "n": 1, "k": MAX_DIM - 1}, MAX_DIM),
+    ({"space": "nambu_rk1", "k": MAX_DIM - 1}, MAX_DIM),
+    ({"space": "nambu_r3n", "n": MAX_DIM // 3}, MAX_DIM // 3 * 3),
+    ({"space": "canonical", "n": 1, "k": MAX_DIM}, MAX_DIM + 1),
+    ({"space": "canonical", "n": 20, "k": 20}, 420),
+    ({"space": "canonical", "n": 10 ** 12, "k": 1}, 2 * 10 ** 12),
+    ({"space": "nambu_rk1", "k": MAX_DIM}, MAX_DIM + 1),
+    ({"space": "nambu_r3n", "n": MAX_DIM // 3 + 1}, MAX_DIM // 3 * 3 + 3),
+], ids=["n-at-bound", "k-at-bound", "rk1-at-bound", "r3n-at-bound",
+        "k-past-bound", "n20-k20", "huge-n", "rk1-past-bound", "r3n-past-bound"])
+def test_chart_dimension_bound(demo, capsys, space, size):
+    code, out, err = run(capsys, "validate", demo(space))
+    if size <= MAX_DIM:
+        assert code == 0
+        assert f"dim={size}" in out
+    else:
+        assert code == 2
+        assert err == (f"error: chart dimension n(k+1) = {size} "
+                       f"exceeds {MAX_DIM}\n")
+
+
+@pytest.mark.parametrize("slot", ["p", "q", "r"])
+def test_perturbation_rejects_boolean_slot(demo, capsys, slot):
+    entry = {"i": "q1", "j": "x1_1", "p": 1, "q": 1, "r": 1, "coeff": "1"}
+    entry[slot] = True
+    payload = dict(DEMO, poisson_perturbation=[entry])
+    code, _, err = run(capsys, "validate", demo(payload))
+    assert code == 2
+    assert err == f"error: perturbation 0: {slot} must be in 1..2\n"
+
+
+@pytest.mark.parametrize("payload, argv", [
+    ({"space": "canonical", "n": 1, "k": 1,
+      "hamiltonians": {"H": ["q1^32*x1_1"], "K": ["q1^2*x1_1"]},
+      "tasks": {"trials": 1}}, ["verify"]),
+    ({"space": "canonical", "n": 1, "k": 1,
+      "hamiltonians": {"H": ["q1^32*x1_1"], "K": ["q1^2*x1_1"]}},
+     ["bracket", "H", "K"]),
+    ({"space": "nambu_rk1", "k": 2,
+      "hamiltonians": {"H": ["z^32*x", "z^32*y"]}}, ["nambu", "H"]),
+], ids=["verify", "bracket", "nambu"])
+def test_degree_overflow_is_bad_input(demo, payload, argv):
+    path = demo(payload)
+    cmd = [sys.executable, "-m", "polaris", argv[0], path, *argv[1:]]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "exponent above cap" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_missing_file(capsys):

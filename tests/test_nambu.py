@@ -3,13 +3,13 @@ from itertools import permutations
 
 import pytest
 
-from polaris.geometry import Chart, RkMap, differential, xi_pairing
-from polaris.hamiltonian import decompose_polarized, hamiltonian_field
+from polaris.geometry import Chart, RkMap, VectorField, differential, xi_pairing
+from polaris.hamiltonian import NotPolarized, decompose_polarized, hamiltonian_field
 from polaris.nambu import (
     NambuSpaceR3n,
     NambuSpaceRk1,
+    det,
     jacobian_det,
-    levi_civita,
     nambu_bracket_r3n,
     nambu_field_r3n,
     nambu_field_rk1,
@@ -17,7 +17,8 @@ from polaris.nambu import (
     verify_relation_rk1,
 )
 from polaris.parsing import parse_polynomial
-from polaris.sampling import random_basic, random_polarized
+from polaris.poly import Polynomial
+from polaris.sampling import random_basic, random_polarized, random_polynomial
 
 RK2 = NambuSpaceRk1(2)
 R3 = RK2.chart
@@ -27,7 +28,48 @@ def polarized_on(space, rng, degree=2):
     return random_polarized(rng, space.chart, degree)
 
 
-# -- Levi-Civita ---------------------------------------------------------------
+# -- Levi-Civita reference ------------------------------------------------------
+
+
+def levi_civita(indices):
+    """Sign of the permutation written in 1-based values; 0 on repeats."""
+    m = len(indices)
+    for idx in indices:
+        if not 1 <= idx <= m:
+            raise ValueError(f"index {idx} out of range 1..{m}")
+    if len(set(indices)) != m:
+        return 0
+    sign = 1
+    seq = list(indices)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def levi_civita_field(H, space):
+    """The Nambu field on R^(k+1) as the Levi-Civita sum
+
+    component j = sum over tuples  e_{j i_1..i_k}  prod_m dH^m/dx^{i_m},
+
+    run over the k! orderings of the complement of j: the definition the
+    signed-minor field of `nambu_field_rk1` is checked against.
+    """
+    dim = space.dim
+    grads = [[H[m].partial(space.coordinate_index(i)) for i in range(1, dim + 1)]
+             for m in range(space.k)]
+    comps = {}
+    coords = list(range(1, dim + 1))
+    for j in coords:
+        terms = []
+        for perm in permutations([i for i in coords if i != j]):
+            term = Polynomial.constant(space.chart.dim, levi_civita((j,) + perm))
+            for m, i in enumerate(perm):
+                term = term * grads[m][i - 1]
+            terms.append(term)
+        comps[space.coordinate_index(j)] = Polynomial.sum(space.chart.dim, terms)
+    return VectorField(space.chart, comps)
 
 
 def test_levi_civita_examples():
@@ -59,6 +101,28 @@ def test_levi_civita_counts_signs():
 
 
 # -- Jacobian determinants -------------------------------------------------------
+
+
+def test_det_is_leibniz_sum_in_few_products(monkeypatch):
+    # every entry is nonzero, so no cofactor is skipped: a plain cofactor
+    # expansion of this 6 x 6 matrix takes over 6! products
+    m = 6
+    matrix = [[Polynomial.constant(m, (3 * i + j) % 5 + 1) + Polynomial.variable(m, j)
+               for j in range(m)] for i in range(m)]
+    leibniz = []
+    for perm in permutations(range(m)):
+        term = Polynomial.constant(m, levi_civita([c + 1 for c in perm]))
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        leibniz.append(term)
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    value = det(matrix)
+    monkeypatch.undo()
+    assert value == Polynomial.sum(m, leibniz)
+    assert len(products) <= m * 2 ** (m - 1)
 
 
 def test_jacobian_identity():
@@ -146,6 +210,25 @@ def test_rk1_relation_zero_f():
     report = verify_relation_rk1(pf, space)
     assert report.passed
     assert report.lhs.is_zero and report.rhs.is_zero
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_rk1_field_matches_levi_civita_sum(k):
+    space = NambuSpaceRk1(k)
+    chart = space.chart
+    rng = random.Random(500 + k)
+    for _ in range(4):
+        H = polarized_on(space, rng).to_map()
+        assert nambu_field_rk1(H, space) == levi_civita_field(H, space)
+    for _ in range(4):
+        # H^m = L_m + x^m L'_m with random affine L, L': quadratic along the
+        # fibers, so not polarized, and few partials vanish
+        H = RkMap(chart, [random_polynomial(rng, chart, 1)
+                          + chart.coordinate(f"x{m}") * random_polynomial(rng, chart, 1)
+                          for m in range(1, k + 1)])
+        with pytest.raises(NotPolarized):
+            decompose_polarized(H)
+        assert nambu_field_rk1(H, space) == levi_civita_field(H, space)
 
 
 # -- the R^(3n) field ----------------------------------------------------------------
