@@ -51,6 +51,7 @@ from .nambu import (
     verify_relation_r3n,
     verify_relation_rk1,
 )
+from .poly import MAX_EXPONENT
 from .sampling import DEFAULT_SEED, random_basic, random_polarized, random_polynomial
 
 
@@ -308,12 +309,13 @@ def classical_checks(chart: Chart, seed: int, trials: int) -> list[CheckResult]:
 
 
 def _random_relation(name: str, verify, space: NambuSpaceRk1 | NambuSpaceR3n,
-                     seed: int, trials: int) -> CheckResult:
-    """`verify(pf, space)` over seeded random polarized maps on the space."""
+                     seed: int, trials: int, degree: int = 2) -> CheckResult:
+    """`verify(pf, space)` over seeded random polarized maps on the space,
+    with f and g of at most `degree`."""
     rng = random.Random(seed)
     failures: list[str] = []
     for _ in range(trials):
-        report = verify(random_polarized(rng, space.chart), space)
+        report = verify(random_polarized(rng, space.chart, degree), space)
         if not report.passed:
             failures.append(report.residual_text())
     return _aggregate(name, failures, trials)
@@ -335,8 +337,10 @@ def nambu_rk1_checks(space: NambuSpaceRk1,
         delta = z_comp - expected
         out.append(CheckResult(f"nambu.z-component[{name}]", delta.is_zero,
                                delta.to_string(space.chart.var_names)))
+    # the z-component is +-f^k, so f of degree above MAX_EXPONENT // k would
+    # break the exponent cap
     out.append(_random_relation("nambu.random-relation-rk1", verify_relation_rk1,
-                                space, seed, trials))
+                                space, seed, trials, min(2, MAX_EXPONENT // k)))
     return out
 
 

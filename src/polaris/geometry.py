@@ -72,12 +72,6 @@ class Chart:
     def is_fiber_index(self, idx: int) -> bool:
         return 0 <= idx < self.k * self.n
 
-    def fiber_block_of(self, idx: int) -> int:
-        """1-based block number p of a fiber index."""
-        if not self.is_fiber_index(idx):
-            raise ValueError(f"index {idx} is not a fiber variable")
-        return idx // self.n + 1
-
     @property
     def leaf_indices(self) -> tuple[int, ...]:
         return tuple(range(self.k * self.n, self.dim))
@@ -335,8 +329,7 @@ def is_basic(poly: Polynomial, chart: Chart) -> bool:
     """True when the function is constant along the fibers."""
     if poly.dim != chart.dim:
         raise ValueError("polynomial dimension does not match the chart")
-    fiber = chart.fiber_indices
-    return all(not any(exps[i] for i in fiber) for exps in poly.terms)
+    return poly.free_of(chart.fiber_indices)
 
 
 def differential(H: RkMap) -> OneFormRk:

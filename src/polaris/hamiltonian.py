@@ -109,34 +109,22 @@ def decompose_polarized(H: RkMap) -> PolarizedForm:
     block p, and the coefficient of x^{pj} agrees across components.
     """
     chart = H.chart
-    dim = chart.dim
     f_per_component: list[list[Polynomial]] = []
     g: list[Polynomial] = []
     for p in range(1, chart.k + 1):
-        poly = H[p - 1]
-        f_terms: list[dict] = [dict() for _ in range(chart.n)]
-        g_terms: dict = {}
-        for exps, coeff in poly.ordered_terms():
-            fiber_degree = sum(exps[i] for i in chart.fiber_indices)
-            if fiber_degree == 0:
-                g_terms[exps] = coeff
-                continue
+        rest, parts, bad = H[p - 1].split_linear(chart.fiber_indices,
+                                                 chart.fiber_block(p))
+        if bad is not None:
+            fiber_degree, idx = bad
             if fiber_degree > 1:
                 raise NotPolarized(
                     REASON_NONLINEAR,
                     f"component {p} has a term of fiber degree {fiber_degree}")
-            idx = next(i for i in chart.fiber_indices if exps[i])
-            block = chart.fiber_block_of(idx)
-            if block != p:
-                raise NotPolarized(
-                    REASON_CROSS_BLOCK,
-                    f"component {p} involves {chart.var_name(idx)}")
-            j = idx - chart.fiber_index(block, 1)  # 0-based within the block
-            stripped = tuple(0 if i == idx else e for i, e in enumerate(exps))
-            f_terms[j][stripped] = coeff
-        f_per_component.append(
-            [Polynomial(dim, terms) for terms in f_terms])
-        g.append(Polynomial(dim, g_terms))
+            raise NotPolarized(
+                REASON_CROSS_BLOCK,
+                f"component {p} involves {chart.var_name(idx)}")
+        f_per_component.append(parts)
+        g.append(rest)
     shared = f_per_component[0]
     for p in range(1, chart.k):
         if f_per_component[p] != shared:

@@ -1,10 +1,27 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Coefficients are `fractions.Fraction` values, which keep themselves in
-lowest terms with a positive denominator, so every stored number is an
-exact rational.  A polynomial is a finite map from exponent vectors
-(dense tuples of non-negative ints, one slot per chart variable) to
-nonzero coefficients; the zero polynomial has an empty term map.
+A polynomial over `dim` variables is held as one dict from packed
+monomials to nonzero `int` numerators, all over one positive `int`
+denominator.  Its form is canonical: the gcd of the denominator and all
+numerators is 1, and the zero polynomial (an empty dict) has denominator
+1, so equal polynomials are equal structurally and hash alike.
+
+A monomial is packed into one int with `FIELD_BITS` bits per variable,
+variable 0 in the most significant field.  Multiplying monomials adds
+their packed ints, and descending packed-int order is descending
+lexicographic order on exponent vectors.  Each field has room for the
+sum of two capped exponents plus a bias that carries any exponent above
+`MAX_EXPONENT` into the field's top (guard) bit, so the cap check on a
+product is one add-and-mask.  Packed exponent vectors follow Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors" (CASC 2007); with them and integer numerators the
+ring operations are int additions and multiplications, not tuple and
+`Fraction` arithmetic.
+
+The packed format stays inside this module.  Callers see exponent
+tuples and `Fraction` coefficients through `terms`, `ordered_terms`,
+`coefficient` and `constant_value`, views built on demand, and test or
+split polynomials by variables with `free_of` and `split_linear`.
 
 Term order is descending lexicographic on exponent vectors.  Printing,
 iteration and float evaluation all follow this one order, so equal
@@ -18,6 +35,8 @@ not re-read the exact term maps on every call.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 from types import MappingProxyType
 
@@ -29,6 +48,20 @@ MAX_EXPONENT = 32
 # compiler's transient memory, which grows with the source it is given.
 UNIT_TERMS = 256
 
+# Bits per variable in a packed monomial.  The top bit of a field is its
+# guard: adding _BIAS to a field sets the guard exactly when the field
+# holds more than MAX_EXPONENT.
+FIELD_BITS = 7
+_FIELD = (1 << FIELD_BITS) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
+_BIAS = _GUARD - MAX_EXPONENT - 1
+
+# A product's field holds the sum of two capped exponents; with the bias
+# added it must still fit, or it would carry into the next variable.
+if not (_BIAS >= 0 and 2 * MAX_EXPONENT + _BIAS < 1 << FIELD_BITS):
+    raise ImportError(f"{FIELD_BITS}-bit monomial fields cannot hold "
+                      f"exponents up to {MAX_EXPONENT}")
+
 Coefficient = Fraction | int
 
 
@@ -36,23 +69,59 @@ class DegreeOverflowError(ValueError):
     """Raised when an operation would push an exponent past MAX_EXPONENT."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+@lru_cache(maxsize=128)
+def _layout(dim: int) -> tuple[tuple[int, ...], int, int]:
+    """Field shift of each variable, then the bias and guard of all fields."""
+    shifts = tuple(FIELD_BITS * (dim - 1 - i) for i in range(dim))
+    ones = sum(1 << s for s in shifts)
+    return shifts, _BIAS * ones, _GUARD * ones
+
+
+def _pack(exps: Sequence[int]) -> int:
+    m = 0
+    for e in exps:
+        m = m << FIELD_BITS | e
+    return m
+
+
+def _unpack(dim: int, m: int) -> tuple[int, ...]:
+    return tuple(m >> s & _FIELD for s in _layout(dim)[0])
+
+
+def _mask(dim: int, variables: Iterable[int]) -> int:
+    """All bits of the fields of `variables`."""
+    shifts = _layout(dim)[0]
+    return sum(_FIELD << shifts[v] for v in variables)
+
+
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact rational, coprime."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _canonical(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Divide nonzero numerators and their denominator by their gcd."""
+    if den == 1 or not num:
+        return num, 1
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {m: c // g for m, c in num.items()}, den // g
 
 
 class Polynomial:
     """Immutable sparse polynomial over `dim` variables."""
 
-    __slots__ = ("dim", "_terms", "_hash", "_float")
+    __slots__ = ("dim", "_num", "_den", "_hash", "_float")
 
     def __init__(self, dim: int, terms: Mapping[tuple[int, ...], Coefficient] = ()):
         if dim < 1:
             raise ValueError("polynomial needs at least one variable")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        ratios: dict[int, tuple[int, int]] = {}
         for exps, coeff in dict(terms).items():
             exps = tuple(exps)
             if len(exps) != dim:
@@ -62,23 +131,25 @@ class Polynomial:
             if any(e > MAX_EXPONENT for e in exps):
                 raise DegreeOverflowError(
                     f"exponent above cap {MAX_EXPONENT} in {exps}")
-            coeff = _as_fraction(coeff)
-            if coeff:
-                clean[exps] = coeff
+            p, q = _ratio(coeff)
+            if p:
+                ratios[_pack(exps)] = p, q
+        den = lcm(*(q for _, q in ratios.values()))
         self.dim = dim
-        self._terms = clean
+        self._num, self._den = _canonical(
+            {m: p * (den // q) for m, (p, q) in ratios.items()}, den)
         self._hash = None
         self._float = None
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _raw(cls, dim: int, terms: dict) -> "Polynomial":
-        # internal fast path: the caller guarantees canonical terms and
-        # hands over ownership of the dict
+    def _make(cls, dim: int, num: dict[int, int], den: int) -> "Polynomial":
+        # internal fast path: takes ownership of `num`, nonzero numerators
+        # over the positive `den`, and reduces them to the canonical form
         self = object.__new__(cls)
         self.dim = dim
-        self._terms = terms
+        self._num, self._den = _canonical(num, den)
         self._hash = None
         self._float = None
         return self
@@ -91,60 +162,122 @@ class Polynomial:
     def sum(cls, dim: int, polys: Iterable["Polynomial"]) -> "Polynomial":
         """The sum of `polys`, all over `dim` variables; `+` delegates here.
 
-        All terms go into one map, a copy of the first operand's terms, so
-        a sum of m operands copies one map instead of m - 1 partial sums.
+        All numerators go into one map over the lcm of the denominators, a
+        copy of the first operand's map, so a sum of m operands copies one
+        map instead of m - 1 partial sums.
         """
         acc = None
+        den = 1
         for poly in polys:
             if poly.dim != dim:
                 raise ValueError(f"dimension mismatch: {dim} vs {poly.dim}")
+            d = poly._den
             if acc is None:
-                acc = dict(poly._terms)
+                acc = dict(poly._num)
+                den = d
                 continue
-            for exps, coeff in poly._terms.items():
-                old = acc.get(exps)
+            items = poly._num.items()
+            if d != den:
+                common = lcm(den, d)
+                if common != den:
+                    up = common // den
+                    acc = {m: c * up for m, c in acc.items()}
+                    den = common
+                if d != den:
+                    up = den // d
+                    items = [(m, c * up) for m, c in items]
+            for m, c in items:
+                old = acc.get(m)
                 if old is None:
-                    acc[exps] = coeff
+                    acc[m] = c
                 else:
-                    total = old + coeff
+                    total = old + c
                     if total:
-                        acc[exps] = total
+                        acc[m] = total
                     else:
-                        del acc[exps]
-        return cls._raw(dim, {} if acc is None else acc)
+                        del acc[m]
+        return cls._make(dim, {} if acc is None else acc, den)
 
     @classmethod
     def constant(cls, dim: int, value: Coefficient) -> "Polynomial":
-        return cls(dim, {(0,) * dim: value})
+        p, q = _ratio(value)
+        if dim < 1 or not p:
+            return cls(dim)
+        return cls._make(dim, {0: p}, q)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Polynomial":
         if not 0 <= index < dim:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
-        exps = tuple(1 if i == index else 0 for i in range(dim))
-        return cls(dim, {exps: 1})
+        return cls._make(dim, {1 << _layout(dim)[0][index]: 1}, 1)
 
     # -- inspection -----------------------------------------------------
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        """Read-only view of the term map."""
-        return MappingProxyType(self._terms)
+        """Read-only map from exponent vectors to coefficients, built on demand."""
+        dim, den = self.dim, self._den
+        return MappingProxyType({_unpack(dim, m): Fraction(c, den)
+                                 for m, c in self._num.items()})
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def ordered_terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Terms in canonical (descending lexicographic) order."""
-        return tuple((e, self._terms[e]) for e in sorted(self._terms, reverse=True))
+        dim, den, num = self.dim, self._den, self._num
+        return tuple((_unpack(dim, m), Fraction(num[m], den))
+                     for m in sorted(num, reverse=True))
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        exps = tuple(exps)
+        if len(exps) != self.dim or not all(0 <= e <= MAX_EXPONENT for e in exps):
+            return Fraction(0)
+        return Fraction(self._num.get(_pack(exps), 0), self._den)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term."""
-        return self._terms.get((0,) * self.dim, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
+
+    def free_of(self, variables: Iterable[int]) -> bool:
+        """True when no term involves any of `variables`."""
+        mask = _mask(self.dim, variables)
+        return not any(m & mask for m in self._num)
+
+    def split_linear(self, variables: Sequence[int], linear: Sequence[int]):
+        """Split into `rest + sum_i x_linear[i] * parts[i]` in one pass.
+
+        `linear` is a subset of `variables`, and `rest` and every part are
+        free of `variables`.  Returns `(rest, parts, None)` when every term
+        has degree 0 in `variables` or degree 1 in one variable of
+        `linear`.  Otherwise returns `(None, None, (degree, var))` for the
+        first other term in canonical order: its total degree in
+        `variables` and the first of `variables` that it involves.
+        """
+        dim, den = self.dim, self._den
+        shifts = _layout(dim)[0]
+        mask = _mask(dim, variables)
+        slot = {1 << shifts[v]: i for i, v in enumerate(linear)}
+        rest: dict[int, int] = {}
+        parts: list[dict[int, int]] = [{} for _ in linear]
+        bad = 0  # the largest key that fits neither; 0 always fits
+        for m, c in self._num.items():
+            hit = m & mask
+            if not hit:
+                rest[m] = c
+                continue
+            i = slot.get(hit)
+            if i is None:
+                bad = max(bad, m)
+            else:
+                parts[i][m - hit] = c
+        if bad:
+            exps = _unpack(dim, bad)
+            return None, None, (sum(exps[v] for v in variables),
+                                next(v for v in variables if exps[v]))
+        return (Polynomial._make(dim, rest, den),
+                [Polynomial._make(dim, part, den) for part in parts], None)
 
     # -- ring operations ------------------------------------------------
 
@@ -158,8 +291,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.dim,
-                               {e: -c for e, c in self._terms.items()})
+        return Polynomial._make(self.dim, {m: -c for m, c in self._num.items()},
+                                self._den)
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -173,38 +306,39 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            scalar = _as_fraction(other)
-            if not scalar:
+            p, q = _ratio(other)
+            if not p:
                 return Polynomial.zero(self.dim)
-            return Polynomial._raw(
-                self.dim, {e: c * scalar for e, c in self._terms.items()})
+            return Polynomial._make(
+                self.dim, {m: c * p for m, c in self._num.items()}, self._den * q)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        # cheap sufficient bound: per-variable maxima decide whether any
-        # product term could break the exponent cap
-        check_cap = False
-        if self._terms and other._terms:
-            for i in range(self.dim):
-                peak = (max(e[i] for e in self._terms)
-                        + max(e[i] for e in other._terms))
-                if peak > MAX_EXPONENT:
-                    check_cap = True
-                    break
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                if check_cap and any(e > MAX_EXPONENT for e in exps):
-                    raise DegreeOverflowError(
-                        f"product exponent above cap {MAX_EXPONENT}")
-                total = acc.get(exps, Fraction(0)) + ca * cb
-                if total:
-                    acc[exps] = total
-                else:
-                    acc.pop(exps, None)
-        return Polynomial._raw(self.dim, acc)
+        dim = self.dim
+        if dim != other.dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {other.dim}")
+        a, b = self._num, other._num
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # times one monomial: distinct keys stay distinct and nonzero
+            ((mb, cb),) = b.items()
+            num = {ma + mb: ca * cb for ma, ca in a.items()}
+        else:
+            num = {}
+            get = num.get
+            pairs = tuple(b.items())
+            for ma, ca in a.items():
+                for mb, cb in pairs:
+                    m = ma + mb
+                    num[m] = get(m, 0) + ca * cb
+        # cancelled keys are checked too: a product past the cap raises even
+        # when its terms cancel
+        _, bias, guard = _layout(dim)
+        if any((m + bias) & guard for m in num):
+            raise DegreeOverflowError(f"product exponent above cap {MAX_EXPONENT}")
+        if len(b) != 1:
+            num = {m: c for m, c in num.items() if c}
+        return Polynomial._make(dim, num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -222,13 +356,14 @@ class Polynomial:
         """Formal partial derivative with respect to variable `var`."""
         if not 0 <= var < self.dim:
             raise ValueError(f"variable index {var} out of range for dim {self.dim}")
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[var]
+        shift = _layout(self.dim)[0][var]
+        unit = 1 << shift
+        num: dict[int, int] = {}
+        for m, c in self._num.items():
+            e = m >> shift & _FIELD
             if e:
-                lowered = exps[:var] + (e - 1,) + exps[var + 1:]
-                acc[lowered] = acc.get(lowered, Fraction(0)) + coeff * e
-        return Polynomial._raw(self.dim, acc)
+                num[m - unit] = c * e  # lowering one exponent is injective
+        return Polynomial._make(self.dim, num, self._den)
 
     def evaluate(self, point: Sequence[float]) -> float:
         """Float64 value at `point`, summed in canonical term order."""
@@ -248,15 +383,16 @@ class Polynomial:
             other = Polynomial.constant(self.dim, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return (self.dim == other.dim and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self._terms.items())))
+            self._hash = hash((self.dim, self._den, frozenset(self._num.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
         """Canonical display, parseable back with the same variable names."""
@@ -264,7 +400,7 @@ class Polynomial:
             names = [f"v{i}" for i in range(self.dim)]
         if len(names) != self.dim:
             raise ValueError("one name per variable required")
-        if not self._terms:
+        if not self._num:
             return "0"
         pieces = []
         for exps, coeff in self.ordered_terms():

@@ -265,6 +265,15 @@ def test_verify_empty_map_set_runs_structure_only(demo, capsys):
     assert "random.routes" not in out
 
 
+@pytest.mark.parametrize("k", [17, 33])
+def test_verify_nambu_rk1_past_half_the_cap(demo, capsys, k):
+    # the z-component of the random relation check is +-f^k, so f must
+    # stay of degree at most MAX_EXPONENT // k
+    code, out, err = run(capsys, "verify", demo({"space": "nambu_rk1", "k": k}))
+    assert (code, err) == (0, "")
+    assert "result: PASS" in out
+
+
 def test_verify_detects_perturbed_tensor(demo, capsys):
     payload = dict(DEMO)
     payload["poisson_perturbation"] = [

@@ -20,17 +20,22 @@ from sympy.polys.rings import ring
 
 from polaris.geometry import Chart
 from polaris.parsing import parse_polynomial
-from polaris.poly import Polynomial
+from polaris.poly import MAX_EXPONENT, Polynomial
 
-# dims 2, 4, 6 and 6: one and several fiber blocks, one and several leaves
-CHARTS = (Chart(1, 1), Chart(2, 1), Chart(3, 1), Chart(2, 2))
+# dims 2, 4, 6 and 6: one and several fiber blocks, one and several leaves;
+# dim 64, the CLI's chart bound, fills 64 fields of a packed monomial
+CHARTS = (Chart(1, 1), Chart(2, 1), Chart(3, 1), Chart(2, 2), Chart(1, 63))
 RINGS = {chart.dim: ring(",".join(chart.var_names), QQ)[0] for chart in CHARTS}
 
 coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
+# up to half the cap and often at it, so that the product of two such
+# polynomials reaches MAX_EXPONENT, in neighbouring fields too
+HALF_CAP = st.one_of(st.just(MAX_EXPONENT // 2), st.integers(0, MAX_EXPONENT // 2))
 
-def polynomials(dim, max_exponent=3):
-    monomials = st.tuples(*[st.integers(0, max_exponent)] * dim)
+
+def polynomials(dim, exponents=st.integers(0, 3)):
+    monomials = st.tuples(*[exponents] * dim)
     return st.dictionaries(monomials, coefficients, max_size=6).map(
         lambda terms: Polynomial(dim, terms))
 
@@ -50,13 +55,13 @@ def same(poly, element):
 
 
 @st.composite
-def chart_and_polys(draw, count):
+def chart_and_polys(draw, count, exponents=st.integers(0, 3)):
     chart = draw(st.sampled_from(CHARTS))
-    return chart, [draw(polynomials(chart.dim)) for _ in range(count)]
+    return chart, [draw(polynomials(chart.dim, exponents)) for _ in range(count)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(chart_and_polys(2))
+@given(chart_and_polys(2, HALF_CAP))
 def test_ring_operations_match_sympy(case):
     _, (a, b) = case
     sa, sb = to_sympy(a), to_sympy(b)
@@ -100,7 +105,11 @@ def test_sum_matches_sympy(case):
     total = Polynomial.sum(chart.dim, polys)
     assert same(total, expected)
     assert all(total.terms.values())
-    assert total == Polynomial.sum(chart.dim, iter(polys[::-1]))
+    reverse = Polynomial.sum(chart.dim, iter(polys[::-1]))
+    assert total == reverse and hash(total) == hash(reverse)
+    # the sum is in canonical form: rebuilt from its terms it is the same
+    rebuilt = Polynomial(chart.dim, total.terms)
+    assert total == rebuilt and hash(total) == hash(rebuilt)
 
 
 def test_sum_rejects_a_dimension_mismatch():

@@ -86,13 +86,25 @@ def test_dimension_mismatch():
 
 
 def test_degree_cap():
-    X ** MAX_EXPONENT  # at the cap: fine
-    with pytest.raises(DegreeOverflowError):
-        X ** (MAX_EXPONENT + 1)
-    with pytest.raises(DegreeOverflowError):
-        (X ** MAX_EXPONENT) * X
-    with pytest.raises(ValueError):
-        X ** -1
+    # the first variable sits in the top field of the packed monomial and
+    # the last in the bottom one; dim 64 is the CLI's chart bound
+    for dim, var in [(3, 0), (64, 0), (64, 31), (64, 63)]:
+        x = Polynomial.variable(dim, var)
+        at_cap = [0] * dim
+        at_cap[var] = MAX_EXPONENT
+        top = x ** MAX_EXPONENT  # at the cap: fine
+        assert dict(top.terms) == {tuple(at_cap): 1}
+        # every field at the cap at once, reached by a product
+        half = Polynomial(dim, {(MAX_EXPONENT // 2,) * dim: 1})
+        assert dict((half * half).terms) == {(MAX_EXPONENT,) * dim: 1}
+        with pytest.raises(DegreeOverflowError):
+            x ** (MAX_EXPONENT + 1)
+        with pytest.raises(DegreeOverflowError):
+            top * x
+        with pytest.raises(DegreeOverflowError):
+            half * half * x
+        with pytest.raises(ValueError):
+            x ** -1
 
 
 def test_canonical_string():
