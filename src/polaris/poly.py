@@ -316,28 +316,19 @@ class Polynomial:
         dim = self.dim
         if dim != other.dim:
             raise ValueError(f"dimension mismatch: {dim} vs {other.dim}")
-        a, b = self._num, other._num
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # times one monomial: distinct keys stay distinct and nonzero
-            ((mb, cb),) = b.items()
-            num = {ma + mb: ca * cb for ma, ca in a.items()}
-        else:
-            num = {}
-            get = num.get
-            pairs = tuple(b.items())
-            for ma, ca in a.items():
-                for mb, cb in pairs:
-                    m = ma + mb
-                    num[m] = get(m, 0) + ca * cb
+        num: dict[int, int] = {}
+        get = num.get
+        pairs = tuple(other._num.items())
+        for ma, ca in self._num.items():
+            for mb, cb in pairs:
+                m = ma + mb
+                num[m] = get(m, 0) + ca * cb
         # cancelled keys are checked too: a product past the cap raises even
         # when its terms cancel
         _, bias, guard = _layout(dim)
         if any((m + bias) & guard for m in num):
             raise DegreeOverflowError(f"product exponent above cap {MAX_EXPONENT}")
-        if len(b) != 1:
-            num = {m: c for m, c in num.items() if c}
+        num = {m: c for m, c in num.items() if c}
         return Polynomial._make(dim, num, self._den * other._den)
 
     __rmul__ = __mul__
