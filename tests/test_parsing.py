@@ -141,3 +141,73 @@ def test_roundtrip_through_canonical_printing():
             p = random_polynomial(rng, chart)
             text = p.to_string(chart.var_names)
             assert parse_polynomial(text, chart) == p
+
+
+# One row per `raise ParseError` site in the parser, plus the cases where
+# a rewrite of the scanner could drift: which error wins, what counts as
+# whitespace, and where each offset points.
+ERROR_TABLE = [
+    ("x²", "non-ASCII input", 1),
+    ("1/ x²", "non-ASCII input", 4),
+    ("1.", "digits required after decimal point", 2),
+    ("1.x", "digits required after decimal point", 2),
+    ("1/", "digits required after '/'", 2),
+    ("1/x", "digits required after '/'", 2),
+    ("1/ 2", "digits required after '/'", 2),
+    ("1/0", "zero denominator", 2),
+    ("1/00", "zero denominator", 2),
+    ("0/0", "zero denominator", 2),
+    ("x$y", "unexpected character '$'", 1),
+    ("x\fy", "unexpected character '\\x0c'", 1),
+    ("x\vy", "unexpected character '\\x0b'", 1),
+    ("2.5.1", "unexpected character '.'", 3),
+    ("1.5/2", "unexpected character '/'", 3),
+    ("1/2/3", "unexpected character '/'", 3),
+    ("1/2.5", "unexpected character '.'", 3),
+    ("1 /2", "unexpected character '/'", 2),
+    ("x y $", "unexpected character '$'", 4),
+    ("^ 1/0", "zero denominator", 4),
+    ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+     "expression nested too deeply", MAX_NESTING),
+    ("-" * (MAX_NESTING + 1) + "x", "expression nested too deeply", MAX_NESTING),
+    ("x^32*x", "product overflows the degree cap", 4),
+    ("x^-1", "negative exponent", 2),
+    ("x^(2)", "exponent must be a plain non-negative integer", 2),
+    ("x^1/2", "exponent must be a plain non-negative integer", 2),
+    ("x^0.5", "exponent must be a plain non-negative integer", 2),
+    ("x^y", "exponent must be a plain non-negative integer", 2),
+    ("x^", "exponent must be a plain non-negative integer", 2),
+    ("x^33", "exponent 33 above cap 32", 2),
+    ("x^4000", "exponent 4000 above cap 32", 2),
+    ("(x^8)^8", "exponentiation overflows the degree cap", 5),
+    ("(x^16)^3", "exponentiation overflows the degree cap", 6),
+    ("z*w", "unknown variable 'w'", 2),
+    ("(x + y", "unbalanced parentheses", 0),
+    ("()", "unbalanced parentheses", 1),
+    (")", "unbalanced parentheses", 0),
+    ("", "expected a value, found 'end of input'", 0),
+    ("   ", "expected a value, found 'end of input'", 3),
+    ("x+", "expected a value, found 'end of input'", 2),
+    ("(", "expected a value, found 'end of input'", 1),
+    ("-", "expected a value, found 'end of input'", 1),
+    ("x**2", "expected a value, found '*'", 2),
+    ("x + y)", "unexpected trailing input ')'", 5),
+    ("2x", "unexpected trailing input 'x'", 1),
+    ("x 1", "unexpected trailing input '1'", 2),
+    ("x\ny", "unexpected trailing input 'y'", 2),
+    ("x^2^3", "unexpected trailing input '^'", 3),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", ERROR_TABLE,
+                         ids=[repr(row[0])[:24] for row in ERROR_TABLE])
+def test_error_table(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, R3)
+    assert (err.value.message, err.value.offset) == (message, offset)
+    assert str(err.value) == f"{message} (at byte {offset})"
+
+
+def test_integral_decimal_exponent():
+    assert parse_polynomial("x^2.0", R3) == R3.coordinate("x") ** 2
+    assert parse_polynomial("\t(x)\r\n", R3) == R3.coordinate("x")
