@@ -69,9 +69,6 @@ class Chart:
             raise ValueError(f"leaf variable {i} out of range")
         return self.k * self.n + (i - 1)
 
-    def is_fiber_index(self, idx: int) -> bool:
-        return 0 <= idx < self.k * self.n
-
     @property
     def leaf_indices(self) -> tuple[int, ...]:
         return tuple(range(self.k * self.n, self.dim))
@@ -287,27 +284,11 @@ class OneFormRk:
     def entry(self, p: int, j: int) -> Polynomial:
         return self.comps[p][j]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(poly.is_zero for row in self.comps for poly in row)
-
     def __add__(self, other: "OneFormRk") -> "OneFormRk":
         _check_same_chart(self, other)
         return OneFormRk(self.chart,
                          [[a + b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.comps, other.comps)])
-
-    def __neg__(self) -> "OneFormRk":
-        return OneFormRk(self.chart, [[-p for p in row] for row in self.comps])
-
-    def __sub__(self, other: "OneFormRk") -> "OneFormRk":
-        return self + (-other)
-
-    def __mul__(self, factor) -> "OneFormRk":
-        return OneFormRk(self.chart,
-                         [[p * factor for p in row] for row in self.comps])
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, OneFormRk):
@@ -427,7 +408,6 @@ class KSymplecticStructure:
 class StructureReport:
     """check_ksymplectic outcome with witnesses."""
     passed: bool
-    form_kernels: tuple[tuple[tuple[Fraction, ...], ...], ...]
     joint_kernel: tuple[tuple[Fraction, ...], ...]
     vertical_violations: tuple[tuple[int, int, int, Fraction], ...]
 
@@ -455,7 +435,6 @@ def check_ksymplectic(structure: KSymplecticStructure) -> StructureReport:
     form to vanish on pairs of fiber directions.
     """
     chart = structure.chart
-    form_kernels = tuple(tuple(kernel(theta)) for theta in structure.thetas)
     stacked = structure.thetas[0]
     if len(structure.thetas) > 1:
         stacked = stacked.stack(*structure.thetas[1:])
@@ -470,7 +449,6 @@ def check_ksymplectic(structure: KSymplecticStructure) -> StructureReport:
                     violations.append((p, a, b, value))
     return StructureReport(
         passed=not joint and not violations,
-        form_kernels=form_kernels,
         joint_kernel=joint,
         vertical_violations=tuple(violations),
     )

@@ -8,7 +8,9 @@ Grammar:
     atom   := rational | variable | '(' expr ')'
 
 Rational literals are integers ("12"), integer fractions ("1/2", no
-spaces around the slash) or decimals ("0.25"), all converted exactly.
+spaces around the slash) or decimals ("0.25"), each converted exactly by
+one Fraction call; a digit run past the interpreter's int-conversion
+limit (4300 digits by default) is a "number too long" error.
 Variables resolve against a chart's naming table: fiber variables are
 "x{p}_{i}", leaf variables "q{i}", and charts may register aliases.
 Multiplication is always explicit ("2x" is an error) and exponents are
@@ -19,12 +21,23 @@ was detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .poly import MAX_EXPONENT, DegreeOverflowError, Polynomial
 
 MAX_NESTING = 100
+
+# One token per match, after optional whitespace.  A literal may end in a
+# bare "." or "/" so that the error can point past it; BAD is any other
+# character.
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+    (?P<NUMBER>[0-9]+(?:\.(?P<frac>[0-9]*)|/(?P<den>[0-9]*))?)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<OP>[-+*^()])
+  | (?P<END>\Z)
+  | (?P<BAD>.)
+)""", re.VERBOSE | re.DOTALL)
 
 
 class ParseError(ValueError):
@@ -36,170 +49,130 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str   # NUMBER IDENT + - * ^ ( ) END
-    text: str
-    offset: int
-    value: Fraction | None = None
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, text, offset, value) tuples; an operator is its own kind."""
     if not text.isascii():
         bad = next(i for i, ch in enumerate(text) if not ch.isascii())
         raise ParseError("non-ASCII input", bad)
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                if i >= n or not text[i].isdigit():
-                    raise ParseError("digits required after decimal point", i)
-                while i < n and text[i].isdigit():
-                    i += 1
-                value = Fraction(text[start:i])  # exact base-10 expansion
-            elif i < n and text[i] == "/":
-                i += 1
-                if i >= n or not text[i].isdigit():
-                    raise ParseError("digits required after '/'", i)
-                den_start = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                den = int(text[den_start:i])
-                if den == 0:
-                    raise ParseError("zero denominator", den_start)
-                value = Fraction(int(text[start:den_start - 1]), den)
-            else:
-                value = Fraction(text[start:i])
-            tokens.append(_Token("NUMBER", text[start:i], start, value))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("IDENT", text[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", n))
-    return tokens
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, start = m[kind], m.start(kind)
+        if kind == "NUMBER":
+            if m["frac"] == "":
+                raise ParseError("digits required after decimal point", m.end())
+            if m["den"] == "":
+                raise ParseError("digits required after '/'", m.end())
+            try:
+                value = Fraction(word)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", m.start("den")) from None
+            except ValueError:  # a digit run past the int-conversion limit
+                raise ParseError("number too long", start) from None
+            tokens.append((kind, word, start, value))
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {word!r}", start)
+        else:
+            tokens.append((word if kind == "OP" else kind, word, start, None))
+            if kind == "END":
+                return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], chart):
+    def __init__(self, tokens: list[tuple], chart):
         self.tokens = tokens
         self.pos = 0
         self.chart = chart
         self.depth = 0
 
     @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def descend(self) -> _Token:
-        """Consume a '(' or unary '-', one more level of nesting."""
-        tok = self.advance()
+    def nest(self, offset: int):
+        """One more level of '(' or unary '-', opened at `offset`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError("expression nested too deeply", tok.offset)
-        return tok
+            raise ParseError("expression nested too deeply", offset)
 
     def parse_expr(self) -> Polynomial:
         summands = [self.parse_term()]
-        while self.current.kind in "+-":
-            op = self.advance()
+        while self.kind in "+-":
+            op = self.advance()[0]
             rhs = self.parse_term()
-            summands.append(rhs if op.kind == "+" else -rhs)
+            summands.append(rhs if op == "+" else -rhs)
         return Polynomial.sum(self.chart.dim, summands)
 
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()
-        while self.current.kind == "*":
-            star = self.advance()
+        while self.kind == "*":
+            star = self.advance()[2]
             rhs = self.parse_factor()
             try:
                 value = value * rhs
             except DegreeOverflowError:
-                raise ParseError("product overflows the degree cap",
-                                 star.offset) from None
+                raise ParseError("product overflows the degree cap", star) from None
         return value
 
     def parse_factor(self) -> Polynomial:
-        if self.current.kind == "-":
-            self.descend()
+        if self.kind == "-":
+            self.nest(self.advance()[2])
             value = -self.parse_factor()
             self.depth -= 1
             return value
         value = self.parse_atom()
-        if self.current.kind == "^":
-            caret = self.advance()
-            tok = self.current
-            if tok.kind == "-":
-                raise ParseError("negative exponent", tok.offset)
-            if tok.kind != "NUMBER" or tok.value.denominator != 1:
+        if self.kind == "^":
+            caret = self.advance()[2]
+            kind, _, offset, exponent = self.advance()
+            if kind == "-":
+                raise ParseError("negative exponent", offset)
+            if kind != "NUMBER" or exponent.denominator != 1:
                 raise ParseError("exponent must be a plain non-negative integer",
-                                 tok.offset)
-            self.advance()
-            exponent = int(tok.value)
+                                 offset)
             if exponent > MAX_EXPONENT:
                 raise ParseError(
-                    f"exponent {exponent} above cap {MAX_EXPONENT}", tok.offset)
+                    f"exponent {exponent} above cap {MAX_EXPONENT}", offset)
             try:
-                value = value ** exponent
+                value = value ** int(exponent)
             except DegreeOverflowError:
                 raise ParseError("exponentiation overflows the degree cap",
-                                 caret.offset) from None
+                                 caret) from None
         return value
 
     def parse_atom(self) -> Polynomial:
-        tok = self.current
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Polynomial.constant(self.chart.dim, tok.value)
-        if tok.kind == "IDENT":
-            self.advance()
+        kind, text, offset, number = self.advance()
+        if kind == "NUMBER":
+            return Polynomial.constant(self.chart.dim, number)
+        if kind == "IDENT":
             try:
-                index = self.chart.variable_index(tok.text)
+                index = self.chart.variable_index(text)
             except KeyError:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.offset) from None
+                raise ParseError(f"unknown variable {text!r}", offset) from None
             return Polynomial.variable(self.chart.dim, index)
-        if tok.kind == "(":
-            open_tok = self.descend()
+        if kind == "(":
+            self.nest(offset)
             value = self.parse_expr()
-            if self.current.kind != ")":
-                raise ParseError("unbalanced parentheses", open_tok.offset)
+            if self.kind != ")":
+                raise ParseError("unbalanced parentheses", offset)
             self.advance()
             self.depth -= 1
             return value
-        if tok.kind == ")":
-            raise ParseError("unbalanced parentheses", tok.offset)
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
-                         tok.offset)
+        if kind == ")":
+            raise ParseError("unbalanced parentheses", offset)
+        raise ParseError(f"expected a value, found {text or 'end of input'!r}",
+                         offset)
 
 
 def parse_polynomial(text: str, chart) -> Polynomial:
     """Parse `text` into an exact polynomial over `chart`'s variables."""
     parser = _Parser(_tokenize(text), chart)
     value = parser.parse_expr()
-    trailing = parser.current
-    if trailing.kind != "END":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}",
-                         trailing.offset)
+    kind, trailing, offset, _ = parser.tokens[parser.pos]
+    if kind != "END":
+        raise ParseError(f"unexpected trailing input {trailing!r}", offset)
     return value

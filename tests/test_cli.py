@@ -1,10 +1,13 @@
 import json
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from polaris.cli import MAX_DIM, MAX_TRIALS, main
+from polaris.parsing import MAX_NESTING
 
 DEMO = {
     "space": "nambu_rk1",
@@ -89,6 +92,20 @@ def test_validate_deep_json(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert "not valid JSON" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("payload", [
+    dict(DEMO, hamiltonians={"H": ["1" * 5000 + "*x", "z*y"]}),
+    dict(DEMO, poisson_perturbation=[{"i": "q1", "j": "x1_1", "p": 1, "q": 1,
+                                      "r": 1, "coeff": "1/" + "7" * 5000}]),
+], ids=["map", "perturbation"])
+def test_validate_number_too_long(demo, payload):
+    cmd = [sys.executable, "-m", "polaris", "validate", demo(payload)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "number too long (at byte 0)" in done.stderr
     assert "Traceback" not in done.stderr
 
 
@@ -464,3 +481,64 @@ def test_integrate_csv_byte_identical(demo, tmp_path):
         subprocess.run(cmd, capture_output=True, check=True)
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# -- fuzz ------------------------------------------------------------------------
+
+DEMO_FILE = Path(__file__).resolve().parent.parent / "problems" / "demo.json"
+FUZZ_COMMANDS = (["validate"], ["verify", "--trials", "1"], ["bracket", "H", "K"],
+                 ["field", "H"], ["nambu", "H"], ["integrate", "H"])
+# a JSON number too long for int(): json.dumps cannot write it, so it is
+# spliced into the text
+BIG = "@big@"
+# one expression per parse-error class, literals past the int-conversion
+# limit, and a few valid ones
+FUZZ_EXPRESSIONS = (
+    "z\u00b2", "1.", "1/", "1/0", "z$",
+    "(" * (MAX_NESTING + 1) + "z" + ")" * (MAX_NESTING + 1),
+    "z^32*z", "z^-1", "z^(2)", "z^33", "(z^8)^8", "w", "(z", ")", "", "z z",
+    "1" * 5000 + "*x", "z^" + "9" * 5000, "0." + "1" * 5000, "1/" + "7" * 5000,
+    "z*x", "x^2", "2*z*x + 1/3*y", "0.5*z^31*x",
+)
+FUZZ_VALUES = (None, True, 0, -1, 2, 0.25, 1e308, 1e-300, "", "z", "x1_1", [],
+               {}, [1, 1], BIG, "1" * 5000)
+FUZZ_PATHS = (
+    ("space",), ("k",), ("n",), ("aliases",), ("hamiltonians",),
+    ("hamiltonians", "H"), ("hamiltonians", "H", 0), ("hamiltonians", "H", 1),
+    ("hamiltonians", "K", 0), ("hamiltonians", "K", 1), ("tasks",),
+    ("tasks", "x0"), ("tasks", "x0", 2), ("tasks", "t0"), ("tasks", "t1"),
+    ("tasks", "h"), ("tasks", "seed"), ("tasks", "trials"),
+    ("poisson_perturbation",),
+)
+
+
+def _fuzz_cases():
+    rng = random.Random(11)
+    cases = [(("hamiltonians", rng.choice("HK"), rng.randrange(2)), expr)
+             for expr in FUZZ_EXPRESSIONS]
+    cases += [(("poisson_perturbation",),
+               [{"i": "q1", "j": "x1_1", "p": 1, "q": 1, "r": 1, "coeff": coeff}])
+              for coeff in ("1/" + "7" * 5000, "z^-1", "2", BIG)]
+    cases += [(rng.choice(FUZZ_PATHS), rng.choice(FUZZ_VALUES + FUZZ_EXPRESSIONS))
+              for _ in range(60)]
+    return cases
+
+
+FUZZ_CASES = _fuzz_cases()
+
+
+@pytest.mark.parametrize("path, value", FUZZ_CASES, ids=[
+    f"{index}-{'.'.join(map(str, path))}" for index, (path, _) in enumerate(FUZZ_CASES)])
+def test_fuzz_one_field_never_crashes(tmp_path, capsys, path, value):
+    doc = json.loads(DEMO_FILE.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    problem = tmp_path / "fuzz.json"
+    problem.write_text(json.dumps(doc).replace(json.dumps(BIG), "1" * 5000))
+    for command in FUZZ_COMMANDS:
+        code = main([command[0], str(problem), *command[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), command
+        assert "Traceback" not in err

@@ -19,6 +19,7 @@ from polaris.geometry import (
     xi_pairing,
 )
 from polaris.hamiltonian import hamiltonian_field
+from polaris.linalg import kernel
 from polaris.parsing import parse_polynomial
 from polaris.poly import Polynomial
 from polaris.nambu import NambuSpaceRk1
@@ -216,8 +217,8 @@ def test_canonical_structure_n1_k2():
     report = check_ksymplectic(KSymplecticStructure.canonical(R3))
     assert report.passed
     # kernels of the individual forms single out the two fiber axes
-    assert report.form_kernels[0] == ((Fraction(0), Fraction(1), Fraction(0)),)
-    assert report.form_kernels[1] == ((Fraction(1), Fraction(0), Fraction(0)),)
+    assert kernel(canonical_theta(R3, 1)) == [(Fraction(0), Fraction(1), Fraction(0))]
+    assert kernel(canonical_theta(R3, 2)) == [(Fraction(1), Fraction(0), Fraction(0))]
     assert report.joint_kernel == ()
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -211,3 +212,25 @@ def test_error_table(text, message, offset):
 def test_integral_decimal_exponent():
     assert parse_polynomial("x^2.0", R3) == R3.coordinate("x") ** 2
     assert parse_polynomial("\t(x)\r\n", R3) == R3.coordinate("x")
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("1" * 5000 + "*x", 0),
+    ("x^" + "1" * 5000, 2),
+    ("x + 2." + "1" * 5000, 4),
+    ("1/" + "7" * 5000, 0),
+    ("1/" + "0" * 5000, 0),
+], ids=["integer", "exponent", "decimal", "denominator", "zero-denominator"])
+def test_number_too_long(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, R3)
+    assert (err.value.message, err.value.offset) == ("number too long", offset)
+
+
+def test_number_length_limit_is_per_digit_run():
+    limit = sys.get_int_max_str_digits()
+    assert parse_polynomial("9" * limit, R3).constant_value() == 10 ** limit - 1
+    assert parse_polynomial("1/" + "9" * limit, R3) != R3.zero()
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x*(" + "9" * (limit + 1) + ")", R3)
+    assert (err.value.message, err.value.offset) == ("number too long", 3)
