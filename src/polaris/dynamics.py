@@ -66,9 +66,10 @@ class Trajectory:
         if len(var_names) != len(self.states[0]):
             raise ValueError("one column name per state component required")
         stream.write("t," + ",".join(var_names) + "\n")
+        # "%.17g" % v and format(v, ".17g") give the same text
+        row = ",".join(["%.17g"] * (len(var_names) + 1)) + "\n"
         for t, state in zip(self.times, self.states):
-            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in state]
-            stream.write(",".join(row) + "\n")
+            stream.write(row % (t, *state))
 
 
 def _time_grid(t0: float, t1: float, h: float) -> list[float]:
@@ -109,9 +110,10 @@ def rk4_integrate(X: VectorField, x0: Sequence[float], t0: float, t1: float,
     states = [tuple(state)]
     for t_now, t_next in zip(grid, grid[1:]):
         step = t_next - t_now
+        half = 0.5 * step
         k1 = rhs(state)
-        k2 = rhs([s + 0.5 * step * v for s, v in zip(state, k1)])
-        k3 = rhs([s + 0.5 * step * v for s, v in zip(state, k2)])
+        k2 = rhs([s + half * v for s, v in zip(state, k1)])
+        k3 = rhs([s + half * v for s, v in zip(state, k2)])
         k4 = rhs([s + step * v for s, v in zip(state, k3)])
         state = [s + step * ((a + 2.0 * b + 2.0 * c + d) / 6.0)
                  for s, a, b, c, d in zip(state, k1, k2, k3, k4)]

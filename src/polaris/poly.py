@@ -29,7 +29,10 @@ polynomials print identically and float sums are reproducible.
 
 Float evaluation has one path, `float_evaluator`: it compiles
 polynomials to straight-line Python once, so repeated evaluation does
-not re-read the exact term maps on every call.
+not re-read the exact term maps on every call.  Each compiled unit
+raises every power it needs once and shares it among its terms; `**` is
+a pure function, so the values keep the bits of raising each power per
+term.
 """
 
 from __future__ import annotations
@@ -435,31 +438,48 @@ def float_evaluator(polys: Sequence[Polynomial]):
     on its own, that the evaluator calls in turn.  Only integer indices,
     exponents and counters enter the source text; each coefficient is
     bound as a float under a generated name.
+
+    A unit computes each power `p[i]**e` that its terms use once, into
+    the local `v{i}_{e}`, before its first term, and the terms multiply
+    those locals.  `**` is a pure function of its operands, so every
+    factor, product and sum has the bits it would have if each term
+    raised its own powers; a power that overflows still raises
+    `OverflowError` in the same call.
     """
     polys = list(polys)
     if len({poly.dim for poly in polys}) > 1:
         raise ValueError("polynomials of one evaluator must share a dim")
-    units: list[list[str]] = [[]]
+    # each unit: its power bindings (a dict, so each is bound once and in
+    # order of first use) and its statements
+    units: list[tuple[dict[str, str], list[str]]] = [({}, [])]
     used = 0
     coeffs: dict = {}
     for poly in polys:
-        units[-1].append("t = 0.0")
+        powers, body = units[-1]
+        body.append("t = 0.0")
         for exps, coeff in poly.ordered_terms():
             if used == UNIT_TERMS:
-                units.append([])
+                powers, body = {}, []
+                units.append((powers, body))
                 used = 0
             name = f"c{len(coeffs):d}"
             coeffs[name] = float(coeff)
-            factors = "".join(f"*p[{i:d}]**{e:d}" for i, e in enumerate(exps) if e)
-            units[-1].append(f"t += {name}{factors}")
+            factors = ""
+            for i, e in enumerate(exps):
+                if e:
+                    power = f"v{i:d}_{e:d}"
+                    powers[power] = f"{power} = p[{i:d}]**{e:d}"
+                    factors += "*" + power
+            body.append(f"t += {name}{factors}")
             used += 1
-        units[-1].append("out.append(t)")
+        body.append("out.append(t)")
     # the units see only the coefficients and the evaluator only the units;
     # popping each function out of the dict it ran in leaves no function ->
     # globals -> function cycle, so an evaluator is freed by refcount
     calls: dict = {}
-    for k, body in enumerate(units):
-        source = "def unit(p, out, t):\n    " + "\n    ".join(body) + "\n    return t"
+    for k, (powers, body) in enumerate(units):
+        source = ("def unit(p, out, t):\n    "
+                  + "\n    ".join([*powers.values(), *body]) + "\n    return t")
         exec(compile(source, "<float_evaluator>", "exec"), coeffs)
         calls[f"u{k:d}"] = coeffs.pop("unit")
     source = ("def evaluate(p):\n    out = []\n    t = 0.0\n"

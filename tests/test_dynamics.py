@@ -2,6 +2,7 @@ import io
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polaris.dynamics import (
     BlowUpError,
@@ -151,3 +152,37 @@ def test_csv_export_deterministic():
     traj.write_csv(a, R3.var_names)
     rk4_integrate(X_H, (1.0, 1.0, 1.0), 0.0, 0.3, 1e-2).write_csv(b, R3.var_names)
     assert a.getvalue() == b.getvalue()
+
+
+def formatted(fmt, v):
+    """The text of one CSV field, or OverflowError for an int past float range."""
+    try:
+        return fmt(v)
+    except OverflowError:
+        return OverflowError
+
+
+@given(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.integers(),
+    st.sampled_from([0, 1, -1, 2**53 + 1, 10**308, 2**1024])))
+def test_csv_template_formats_like_format_spec(v):
+    # write_csv fills one "%.17g" template per row; the CSV format is that
+    # of format(v, ".17g")
+    assert formatted(lambda x: "%.17g" % x, v) == formatted(lambda x: f"{x:.17g}", v)
+
+
+def test_csv_export_of_an_int_end_time():
+    # the last grid time is t1 itself, so an int t1 stays an int
+    X = VectorField.coordinate(R3, R3.variable_index("z"))
+    traj = rk4_integrate(X, (0.25, 0.0, 1.0 / 3.0), 0.0, 1, 0.5)
+    assert type(traj.times[-1]) is int
+    buffer = io.StringIO()
+    traj.write_csv(buffer, R3.var_names)
+    expected = "t,x1_1,x2_1,q1\n" + "".join(
+        ",".join(format(v, ".17g") for v in (t, *state)) + "\n"
+        for t, state in zip(traj.times, traj.states))
+    assert buffer.getvalue() == expected
+    assert buffer.getvalue().splitlines()[-1].startswith("1,")

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polaris.checks import closed_pfaff_check
 from polaris.geometry import (
     Chart,
     KSymplecticStructure,
@@ -268,3 +270,38 @@ def test_closed_pfaff_forms_for_polarized_fields():
                 grid = exterior_derivative_one_form(
                     interior_product(X, structure.theta(p)))
                 assert grid_is_zero(grid)
+
+
+@st.composite
+def pfaff_rows(draw):
+    """A chart and a few rows over it: some exact (closed), most not."""
+    chart = draw(st.sampled_from([Chart(1, 1), Chart(1, 2), Chart(2, 1)]))
+    dim = chart.dim
+    polys = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * dim), st.integers(-3, 3),
+        max_size=4).map(lambda terms: Polynomial(dim, terms))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            potential = draw(polys)
+            rows.append(tuple(potential.partial(i) for i in range(dim)))
+        else:
+            rows.append(tuple(draw(st.lists(polys, min_size=dim, max_size=dim))))
+    return chart, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(pfaff_rows())
+def test_closed_pfaff_witness_is_first_nonzero_entry_of_the_grid(case):
+    chart, rows = case
+    result = closed_pfaff_check("M", rows, chart)
+    assert result.name == "closed-pfaff[M]"
+    for p, row in enumerate(rows):
+        nonzero = [poly for line in exterior_derivative_one_form(row)
+                   for poly in line if not poly.is_zero]
+        if nonzero:
+            assert not result.passed
+            assert result.residual == nonzero[0].to_string(chart.var_names)
+            assert result.details == f"form {p + 1}"
+            return
+    assert result.passed and result.residual == "0" and result.details == ""

@@ -1,6 +1,8 @@
+import gc
 import random
 import struct
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -264,3 +266,50 @@ def test_float_evaluator_edge_cases():
         == [struct.pack("<d", 0.0)]
     with pytest.raises(ValueError):
         float_evaluator([X, Polynomial.variable(2, 0)])
+
+
+def test_power_shared_by_every_unit(monkeypatch):
+    # x0^3 * x1 occurs in every term, so each 2-term unit binds it anew;
+    # the second polynomial starts mid-unit
+    shared = X**3 * Y
+    polys = [Polynomial.sum(3, (shared * Z**e * (e + 1) for e in range(7))),
+             Polynomial.sum(3, (shared * X**e * Fraction(1, e + 2)
+                                for e in range(5)))]
+    point = (1.0 / 3.0, -0.7, 1.1)
+    monkeypatch.setattr(poly_module, "UNIT_TERMS", 2)
+    evaluator = float_evaluator(polys)
+    assert outcome(lambda: evaluator(point)) == \
+        outcome(lambda: [reference_evaluate(p, point) for p in polys])
+    assert len([name for name in evaluator.__globals__ if name.startswith("u")]) == 6
+
+
+def test_overflow_of_a_shared_power_still_raises():
+    # y^2 overflows a float at y = 1e200; it is bound once for the many
+    # terms of the second polynomial, and must raise, not give inf
+    polys = [X + ONE, Polynomial.sum(3, (Y**2 * X**e for e in range(10)))]
+    point = (0.5, 1e200, 2.0)
+    assert outcome(lambda: [reference_evaluate(p, point) for p in polys]) \
+        is OverflowError
+    with pytest.raises(OverflowError):
+        float_evaluator(polys)(point)
+    with pytest.raises(OverflowError):
+        polys[1].evaluate(point)
+
+
+def test_dropped_evaluator_is_freed_by_refcount():
+    poly, point = dense_poly(600)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        evaluator = float_evaluator([poly])
+        evaluator(point)
+        refs = [weakref.ref(evaluator), weakref.ref(evaluator.__globals__["u0"])]
+        del evaluator
+        assert [ref() for ref in refs] == [None, None]
+        poly.evaluate(point)
+        ref = weakref.ref(poly._float)
+        del poly
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
