@@ -3,8 +3,10 @@
 The expected stdout lives under tests/golden/, one text and one --json
 file per input, all run with `--trials 3` and the file's seed.  The
 inputs cover the passing demo, the demo with a perturbed Poisson tensor
-(failing checks and their residual texts) and a three-map nambu_r3n
-file with n = 2 (triples, z-rate and first integrals).  Any change to a
+(failing checks and their residual texts), a three-map nambu_r3n file
+with n = 2 (triples, z-rate and first integrals), and two dense
+canonical (3,3) files with three maps each (`k3_dense`, and
+`k3_perturbed`, whose perturbed tensor prints long bracket residuals).  Any change to a
 check's name, order, residual or details shows up here.
 
 To re-record after an intended output change, run from the repo root:
@@ -39,6 +41,8 @@ GOLDEN = ROOT / "tests" / "golden"
 INPUTS = {
     "demo": ("problems/demo.json", 0),
     "demo_perturbed": ("tests/golden/demo_perturbed.json", 1),
+    "k3_dense": ("tests/golden/k3_dense.json", 0),
+    "k3_perturbed": ("tests/golden/k3_perturbed.json", 1),
     "r3n_n2": ("tests/golden/r3n_n2.json", 0),
 }
 
