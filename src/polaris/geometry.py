@@ -208,7 +208,7 @@ class VectorField:
         """Directional derivative sum_i X^i dp/dx^i."""
         if poly.dim != self.chart.dim:
             raise ValueError("polynomial dimension does not match the chart")
-        return Polynomial.sum(self.chart.dim, (comp * poly.partial(idx)
+        return Polynomial.dot(self.chart.dim, ((comp, poly.partial(idx))
                                                for idx, comp in self.components()))
 
     def restrict(self, indices: Iterable[int]) -> "VectorField":
@@ -352,7 +352,7 @@ def xi_pairing(beta: OneFormRk, X: VectorField) -> RkMap:
     _check_same_chart(beta, X)
     chart = X.chart
     comps = X.components()
-    return RkMap(chart, [Polynomial.sum(chart.dim, (beta.entry(p, j) * xj
+    return RkMap(chart, [Polynomial.dot(chart.dim, ((beta.entry(p, j), xj)
                                                     for j, xj in comps))
                          for p in range(chart.k)])
 

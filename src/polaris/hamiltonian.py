@@ -55,12 +55,16 @@ class NotPolarized(ValueError):
 
 
 class PolarizedForm:
-    """The decomposition (f_1..f_n, g^1..g^k) of a polarized map."""
+    """The decomposition (f_1..f_n, g^1..g^k) of a polarized map.
+
+    `H`, when given, is the map sum_j f_j x^{pj} + g^p itself, which the
+    caller has already split into `f` and `g`; otherwise it is built.
+    """
 
     __slots__ = ("chart", "f", "g", "_map")
 
     def __init__(self, chart: Chart, f: Iterable[Polynomial],
-                 g: Iterable[Polynomial]):
+                 g: Iterable[Polynomial], H: RkMap | None = None):
         f = tuple(f)
         g = tuple(g)
         if len(f) != chart.n or len(g) != chart.k:
@@ -79,14 +83,14 @@ class PolarizedForm:
         self.chart = chart
         self.f = f
         self.g = g
-        self._map = RkMap(chart, [
+        self._map = H if H is not None else RkMap(chart, [
             Polynomial.sum(chart.dim, [g[p - 1]] + [
                 f[j - 1] * Polynomial.variable(chart.dim, chart.fiber_index(p, j))
                 for j in range(1, chart.n + 1)])
             for p in range(1, chart.k + 1)])
 
     def to_map(self) -> RkMap:
-        """H^p = sum_j f_j x^{pj} + g^p, built once from (f, g)."""
+        """H^p = sum_j f_j x^{pj} + g^p, held since construction."""
         return self._map
 
     def __eq__(self, other):
@@ -131,7 +135,7 @@ def decompose_polarized(H: RkMap) -> PolarizedForm:
             raise NotPolarized(
                 REASON_F_MISMATCH,
                 f"components 1 and {p + 1} disagree on the fiber coefficients")
-    return PolarizedForm(chart, shared, g)
+    return PolarizedForm(chart, shared, g, H)
 
 
 def hamiltonian_field(pf: PolarizedForm) -> VectorField:
@@ -159,11 +163,12 @@ def hamiltonian_field(pf: PolarizedForm) -> VectorField:
 def _coordinate_component(A: Polynomial, B: Polynomial, chart: Chart,
                           p: int) -> Polynomial:
     """sum_s (dA/dx^s dB/dx^{ps} - dA/dx^{ps} dB/dx^s) for 1-based p."""
-    # generators, so that one product at a time is alive beside the sum
+    # generators, so that one pair of partials at a time is alive beside
+    # the accumulated products
     pairs = list(zip(chart.leaf_indices, chart.fiber_block(p)))
-    return Polynomial.sum(chart.dim, chain(
-        (A.partial(leaf) * B.partial(fib) for leaf, fib in pairs),
-        (-(A.partial(fib) * B.partial(leaf)) for leaf, fib in pairs)))
+    return Polynomial.dot(chart.dim, chain(
+        ((A.partial(leaf), B.partial(fib)) for leaf, fib in pairs),
+        ((A.partial(fib), -B.partial(leaf)) for leaf, fib in pairs)))
 
 
 def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
@@ -185,7 +190,7 @@ def theta_pairing(theta: RationalMatrix, X: VectorField,
     if X.chart != Y.chart:
         raise ValueError("chart mismatch")
     ys = Y.components()
-    return Polynomial.sum(X.chart.dim, (xi * yj * theta.entry(i, j)
+    return Polynomial.dot(X.chart.dim, ((xi * theta.entry(i, j), yj)
                                         for i, xi in X.components()
                                         for j, yj in ys if theta.entry(i, j)))
 
@@ -262,13 +267,21 @@ class GeneralPoissonTensor:
         chart = self.chart
         if alpha.chart != chart or beta.chart != chart:
             raise ValueError("chart mismatch")
-        terms: list[list[Polynomial]] = [[] for _ in range(chart.k)]
-        for (i, j, p, q, r), coeff in self._entries.items():
-            wedge = (alpha.entry(p, i) * beta.entry(q, j)
-                     - beta.entry(p, i) * alpha.entry(q, j))
-            if not wedge.is_zero:
-                terms[r].append(coeff * wedge)
-        return RkMap(chart, [Polynomial.sum(chart.dim, t) for t in terms])
+
+        def pairs(r):
+            # coeff * (a b - c d) as (coeff a) b + (-coeff c) d, the scaled
+            # factor built only when the other one is nonzero
+            for (i, j, p, q, s), coeff in self._entries.items():
+                if s == r:
+                    a, b = alpha.entry(p, i), beta.entry(q, j)
+                    if a and b:
+                        yield coeff * a, b
+                    c, d = beta.entry(p, i), alpha.entry(q, j)
+                    if c and d:
+                        yield -coeff * c, d
+
+        return RkMap(chart, [Polynomial.dot(chart.dim, pairs(r))
+                             for r in range(chart.k)])
 
     def __eq__(self, other):
         if not isinstance(other, GeneralPoissonTensor):

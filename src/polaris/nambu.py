@@ -104,13 +104,10 @@ def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         found = memo.get(cols)
         if found is None:
             row = matrix[size - len(cols)]
-            cofactors = []
-            for pos, col in enumerate(cols):
-                if row[col].is_zero:
-                    continue
-                cofactor = row[col] * minor(cols[:pos] + cols[pos + 1:])
-                cofactors.append(cofactor if pos % 2 == 0 else -cofactor)
-            found = memo[cols] = Polynomial.sum(dim, cofactors)
+            found = memo[cols] = Polynomial.dot(dim, (
+                (row[col] if pos % 2 == 0 else -row[col],
+                 minor(cols[:pos] + cols[pos + 1:]))
+                for pos, col in enumerate(cols) if row[col]))
         return found
 
     return minor(tuple(range(size)))

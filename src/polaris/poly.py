@@ -18,6 +18,12 @@ exponent vectors" (CASC 2007); with them and integer numerators the
 ring operations are int additions and multiplications, not tuple and
 `Fraction` arithmetic.
 
+Sums of products have one kernel, `Polynomial.dot`, and `*` is its
+one-pair case.  In the spirit of the same paper's merge of all the
+products of a sum, every term pair of every product adds its numerator
+into one map, so a bracket, pairing or directional derivative never
+builds its products one by one.
+
 The packed format stays inside this module.  Callers see exponent
 tuples and `Fraction` coefficients through `terms`, `ordered_terms`,
 `coefficient` and `constant_value`, views built on demand, and test or
@@ -202,6 +208,54 @@ class Polynomial:
         return cls._make(dim, {} if acc is None else acc, den)
 
     @classmethod
+    def dot(cls, dim: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]
+            ) -> "Polynomial":
+        """The sum of `a * b` over `pairs`, all over `dim` variables; `*`
+        delegates here.
+
+        Every term pair of every product adds its numerator straight into
+        one map over the lcm of the products' denominators, so no product
+        is built on its own.  Pairs are read one at a time and skipped
+        when an operand is zero.  Keys are never deleted while the map is
+        filled: the cap check runs once over every key, and a product
+        past the cap raises even when its terms cancel, within it or
+        against other pairs.
+        """
+        num: dict[int, int] = {}
+        get = num.get
+        den = 1
+        for a, b in pairs:
+            if a.dim != dim or b.dim != dim:
+                raise ValueError(f"dimension mismatch: {dim} vs "
+                                 f"{b.dim if a.dim == dim else a.dim}")
+            if not a._num or not b._num:
+                continue
+            d = a._den * b._den
+            up = 1
+            if not num:
+                den = d
+            elif d != den:
+                common = lcm(den, d)
+                if common != den:
+                    scale = common // den
+                    num = {m: c * scale for m, c in num.items()}
+                    get = num.get
+                    den = common
+                up = den // d
+            bterms = tuple(b._num.items())
+            for ma, ca in a._num.items():
+                ca *= up
+                for mb, cb in bterms:
+                    m = ma + mb
+                    num[m] = get(m, 0) + ca * cb
+        _, bias, guard = _layout(dim)
+        if any((m + bias) & guard for m in num):
+            raise DegreeOverflowError(f"product exponent above cap {MAX_EXPONENT}")
+        if 0 in num.values():
+            num = {m: c for m, c in num.items() if c}
+        return cls._make(dim, num, den)
+
+    @classmethod
     def constant(cls, dim: int, value: Coefficient) -> "Polynomial":
         p, q = _ratio(value)
         if dim < 1 or not p:
@@ -316,23 +370,7 @@ class Polynomial:
                 self.dim, {m: c * p for m, c in self._num.items()}, self._den * q)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        dim = self.dim
-        if dim != other.dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {other.dim}")
-        num: dict[int, int] = {}
-        get = num.get
-        pairs = tuple(other._num.items())
-        for ma, ca in self._num.items():
-            for mb, cb in pairs:
-                m = ma + mb
-                num[m] = get(m, 0) + ca * cb
-        # cancelled keys are checked too: a product past the cap raises even
-        # when its terms cancel
-        _, bias, guard = _layout(dim)
-        if any((m + bias) & guard for m in num):
-            raise DegreeOverflowError(f"product exponent above cap {MAX_EXPONENT}")
-        num = {m: c for m, c in num.items() if c}
-        return Polynomial._make(dim, num, self._den * other._den)
+        return self.dot(self.dim, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -429,7 +467,9 @@ def float_evaluator(polys: Sequence[Polynomial]):
     `float(c) * p[i]**e * ...`, with factors in variable order and only
     for e > 0: the same operations in the same order for every call, so
     results are reproducible bit for bit.  `** e` is kept rather than a
-    chain of products, which can round differently.
+    chain of products, which can round differently.  NaN payloads are not
+    reproducible: CPython's specialised float operations may propagate a
+    different NaN operand than its generic ones, so a NaN is only a NaN.
 
     Each term is one `t += ...` statement, because a single expression
     of many thousand terms overflows the compiler's recursion limit.

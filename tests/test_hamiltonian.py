@@ -105,7 +105,13 @@ def test_reconstruction_roundtrip_randomized():
     for chart in (Chart(1, 1), Chart(2, 2), Chart(3, 3)):
         for _ in range(25):
             pf = random_polarized(rng, chart)
-            assert decompose_polarized(pf.to_map()) == pf
+            H = pf.to_map()
+            back = decompose_polarized(H)
+            assert back == pf
+            # the split map is kept, and equals the one rebuilt from (f, g)
+            assert back.to_map() is H
+            rebuilt = PolarizedForm(chart, back.f, back.g).to_map()
+            assert back.to_map().comps == rebuilt.comps
 
 
 # -- hamiltonian fields --------------------------------------------------------

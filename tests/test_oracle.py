@@ -112,6 +112,19 @@ def test_sum_matches_sympy(case):
     assert total == rebuilt and hash(total) == hash(rebuilt)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda count: chart_and_polys(2 * count, HALF_CAP)))
+def test_dot_matches_sympy(case):
+    chart, polys = case
+    pairs = list(zip(polys[::2], polys[1::2]))
+    expected = RINGS[chart.dim].zero
+    for a, b in pairs:
+        expected += to_sympy(a) * to_sympy(b)
+    total = Polynomial.dot(chart.dim, iter(pairs))
+    assert same(total, expected)
+    assert total == Polynomial(chart.dim, total.terms)
+
+
 def test_sum_rejects_a_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         Polynomial.sum(2, [Polynomial.variable(2, 0), Polynomial.variable(3, 0)])

@@ -6,7 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polaris import poly as poly_module
 from polaris.poly import (
@@ -85,6 +85,61 @@ def test_dimension_mismatch():
         X + Polynomial.variable(2, 0)
     with pytest.raises(ValueError):
         X * Polynomial.variable(4, 0)
+
+
+# -- fused sum of products ------------------------------------------------
+
+
+@st.composite
+def pairs_over_one_dim(draw):
+    """Pairs of polynomials with mixed denominators, zero operands among
+    them; the list may be empty."""
+    dim = draw(st.integers(1, 4))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    poly = st.one_of(
+        st.just(Polynomial.zero(dim)),
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * dim), coeff,
+                        max_size=5).map(lambda terms: Polynomial(dim, terms)))
+    return dim, draw(st.lists(st.tuples(poly, poly), max_size=6))
+
+
+ZERO = Polynomial.zero(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_over_one_dim())
+@example((3, []))
+@example((3, [(ZERO, X), (Y, ZERO)]))
+@example((3, [(X, Y), (-Y, X)]))
+@example((3, [(ONE * Fraction(1, 2), X), (ONE * Fraction(1, 3), X), (ZERO, Y)]))
+def test_dot_is_the_sum_of_products(case):
+    dim, pairs = case
+    expected = Polynomial.sum(dim, [a * b for a, b in pairs])
+    total = Polynomial.dot(dim, iter(pairs))
+    assert total == expected and hash(total) == hash(expected)
+    assert all(total.terms.values())
+    # canonical: rebuilt from its terms it is the same polynomial
+    assert total == Polynomial(dim, total.terms)
+
+
+def test_dot_cap_check_sees_products_that_cancel():
+    x20 = Polynomial.variable(3, 0) ** 20
+    # each product exceeds the cap; they cancel across the pairs
+    with pytest.raises(DegreeOverflowError):
+        Polynomial.dot(3, [(x20, x20), (-x20, x20)])
+    # a cancelled key past the cap raises although the whole sum is zero
+    with pytest.raises(DegreeOverflowError):
+        Polynomial.dot(3, [(x20 + ONE, x20 - ONE), (-x20, x20), (ONE, ONE)])
+    at_cap = Polynomial.variable(3, 0) ** 16
+    assert Polynomial.dot(3, [(at_cap, at_cap), (-at_cap, at_cap)]).is_zero
+
+
+def test_dot_rejects_a_dimension_mismatch():
+    for pair in [(X, Polynomial.variable(2, 0)), (Polynomial.variable(4, 0), X)]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Polynomial.dot(3, [(X, Y), pair])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Polynomial.dot(2, [(X, Y)])
 
 
 def test_degree_cap():
@@ -176,15 +231,20 @@ def reference_evaluate(poly, point):
 
 
 def outcome(compute):
-    """Packed float64 bits of each value (so -0.0 and NaN count), or
-    OverflowError if the computation raised it."""
+    """Packed float64 bits of each value (so -0.0 counts), "nan" for every
+    NaN, or OverflowError if the computation raised it.
+
+    NaN payloads are not compared: CPython's specialised float add and
+    multiply can propagate the other NaN operand than the generic path,
+    so a payload depends on how warm the code is, not on the evaluator.
+    """
     try:
         values = compute()
     except OverflowError:
         return OverflowError
     if not isinstance(values, list):
         values = [values]
-    return [struct.pack("<d", v) for v in values]
+    return ["nan" if v != v else struct.pack("<d", v) for v in values]
 
 
 def magnitudes(limit):
@@ -215,8 +275,15 @@ def polynomials_and_point(draw):
     return polys, point
 
 
+# a NaN with a payload beside a term that makes inf * 0: the reference and
+# the compiled code gave NaNs with different payloads
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0xfff8000000000001))[0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(polynomials_and_point(), st.sampled_from([1, 3, poly_module.UNIT_TERMS]))
+@example(([Polynomial(3, {(1, 0, 0): 1, (0, 2, 1): Fraction(10**300)})],
+          [PAYLOAD_NAN, 1e10, 0.0]), 1)
 def test_compiled_evaluation_matches_reference_bit_for_bit(case, unit_terms):
     polys, point = case
     expected = outcome(lambda: [reference_evaluate(p, point) for p in polys])
