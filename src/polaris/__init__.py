@@ -9,8 +9,9 @@ structurally; a small fixed-step integrator turns the fields into
 trajectories when numbers are wanted.
 """
 
-from .poly import DegreeOverflowError, MAX_EXPONENT, Polynomial
-from .linalg import RationalMatrix, invert, kernel
+from .poly import (DegreeOverflowError, MAX_EXPONENT, Polynomial,
+                   UnprintableCoefficientError)
+from .linalg import invert, kernel
 from .parsing import ParseError, parse_polynomial
 from .geometry import (
     Chart,
@@ -18,6 +19,7 @@ from .geometry import (
     OneFormRk,
     RkMap,
     StructureReport,
+    TwoForm,
     VectorField,
     canonical_theta,
     check_ksymplectic,

@@ -55,7 +55,7 @@ from .hamiltonian import (
 )
 from .nambu import NambuSpaceR3n, NambuSpaceRk1, nambu_field_r3n, nambu_field_rk1
 from .parsing import ParseError, parse_polynomial
-from .poly import DegreeOverflowError
+from .poly import DegreeOverflowError, UnprintableCoefficientError
 from .sampling import DEFAULT_SEED
 
 SPACES = ("canonical", "nambu_rk1", "nambu_r3n")
@@ -553,7 +553,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ProblemError, ParseError, DegreeOverflowError) as exc:
+    except (ProblemError, ParseError, DegreeOverflowError,
+            UnprintableCoefficientError) as exc:
         return _fail(str(exc))
 
 

@@ -7,6 +7,11 @@ k*n + (i-1) and is named "q{i}".  The vertical foliation is carried
 implicitly by this index split: a function is basic when it involves no
 fiber variable, and the canonical 2-forms pair each fiber block with the
 leaf block.
+
+A constant 2-form is a `TwoForm`: its nonzero coefficients, one per
+pair i < j, so the canonical theta^p holds just its n fiber-leaf pairs
+and every operator on it walks those.  Only the structure check and the
+k = 1 inverse duality build the dense coefficient matrix, with `rows()`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import RationalMatrix, kernel
+from .linalg import kernel
 from .poly import Polynomial
 
 
@@ -320,16 +325,22 @@ def differential(H: RkMap) -> OneFormRk:
                              for p in range(chart.k)])
 
 
-def interior_product(X: VectorField, theta: RationalMatrix) -> tuple[Polynomial, ...]:
-    """i(X)theta as a row of dx^j coefficients: sum_i X^i theta[i, j]."""
+def interior_product(X: VectorField, theta: TwoForm) -> tuple[Polynomial, ...]:
+    """i(X)theta as a row of dx^j coefficients: sum_i X^i theta[i, j].
+
+    A pair c dx^i ^ dx^j adds c X^i to slot j and -c X^j to slot i.
+    """
     chart = X.chart
-    if theta.rows != chart.dim or theta.cols != chart.dim:
-        raise ValueError("form shape does not match the chart")
-    comps = X.components()
-    return tuple(
-        Polynomial.sum(chart.dim, (comp * theta.entry(idx, j)
-                                   for idx, comp in comps if theta.entry(idx, j)))
-        for j in range(chart.dim))
+    if theta.dim != chart.dim:
+        raise ValueError("form dimension does not match the chart")
+    comps = dict(X.components())
+    slots = [[] for _ in range(chart.dim)]
+    for i, j, c in theta.pairs:
+        if i in comps:
+            slots[j].append(comps[i] * c)
+        if j in comps:
+            slots[i].append(comps[j] * -c)
+    return tuple(Polynomial.sum(chart.dim, terms) for terms in slots)
 
 
 def exterior_derivative_one_form(
@@ -360,20 +371,47 @@ def xi_pairing(beta: OneFormRk, X: VectorField) -> RkMap:
 # -- k-symplectic structures ----------------------------------------------
 
 
-def canonical_theta(chart: Chart, p: int) -> RationalMatrix:
-    """Coefficient matrix of sum_i dx^{pi} ^ dx^i (1-based p)."""
-    n = chart.dim
-    grid = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, chart.n + 1):
-        a = chart.fiber_index(p, i)
-        b = chart.leaf_index(i)
-        grid[a][b] = Fraction(1)
-        grid[b][a] = Fraction(-1)
-    return RationalMatrix(grid)
+class TwoForm:
+    """Constant 2-form sum_{i<j} c_ij dx^i ^ dx^j on R^dim, kept sparse.
+
+    Built from (i, j, c) triples: c at (j, i) is stored as -c at (i, j),
+    repeated pairs add up and zero sums are dropped, so antisymmetry holds
+    by construction.  `pairs` lists the nonzero (i, j, c_ij), i < j, in
+    (i, j) order; the coefficient matrix has theta[i][j] = c_ij and
+    theta[j][i] = -c_ij.
+    """
+
+    __slots__ = ("dim", "pairs")
+
+    def __init__(self, dim: int, pairs: Iterable[tuple[int, int, Fraction | int]]):
+        acc: dict[tuple[int, int], Fraction] = {}
+        for i, j, c in pairs:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"pair ({i}, {j}) out of range for dimension {dim}")
+            if i == j:
+                raise ValueError(f"diagonal pair ({i}, {j}) in a 2-form")
+            key, c = ((i, j), Fraction(c)) if i < j else ((j, i), -Fraction(c))
+            acc[key] = acc.get(key, 0) + c
+        self.dim = dim
+        self.pairs = tuple((i, j, c) for (i, j), c in sorted(acc.items()) if c)
+
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense antisymmetric coefficient matrix, row by row."""
+        grid = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, j, c in self.pairs:
+            grid[i][j] = c
+            grid[j][i] = -c
+        return tuple(map(tuple, grid))
+
+
+def canonical_theta(chart: Chart, p: int) -> TwoForm:
+    """sum_i dx^{pi} ^ dq^i (1-based p): n fiber-leaf pairs."""
+    return TwoForm(chart.dim, [(chart.fiber_index(p, i), chart.leaf_index(i), 1)
+                               for i in range(1, chart.n + 1)])
 
 
 class KSymplecticStructure:
-    """A chart together with constant antisymmetric 2-forms.
+    """A chart together with constant 2-forms.
 
     The canonical instance carries the chart's k Darboux forms; custom
     lists (any count >= 1) are allowed so that degenerate configurations
@@ -382,15 +420,12 @@ class KSymplecticStructure:
 
     __slots__ = ("chart", "thetas")
 
-    def __init__(self, chart: Chart, thetas: Iterable[RationalMatrix]):
+    def __init__(self, chart: Chart, thetas: Iterable[TwoForm]):
         thetas = tuple(thetas)
         if not thetas:
             raise ValueError("at least one 2-form required")
-        for theta in thetas:
-            if theta.rows != chart.dim or theta.cols != chart.dim:
-                raise ValueError("form shape does not match the chart")
-            if not theta.is_antisymmetric():
-                raise ValueError("2-form coefficient matrices must be antisymmetric")
+        if any(theta.dim != chart.dim for theta in thetas):
+            raise ValueError("form dimension does not match the chart")
         self.chart = chart
         self.thetas = thetas
 
@@ -399,7 +434,7 @@ class KSymplecticStructure:
         return cls(chart, [canonical_theta(chart, p)
                            for p in range(1, chart.k + 1)])
 
-    def theta(self, p: int) -> RationalMatrix:
+    def theta(self, p: int) -> TwoForm:
         """0-based accessor."""
         return self.thetas[p]
 
@@ -431,22 +466,17 @@ def check_ksymplectic(structure: KSymplecticStructure) -> StructureReport:
 
     Constant coefficients make each characteristic space the kernel of
     the coefficient matrix, so the joint condition reduces to the kernel
-    of the stacked matrix being trivial.  The second condition asks each
-    form to vanish on pairs of fiber directions.
+    of the stacked matrices being trivial.  The second condition asks each
+    form to vanish on pairs of fiber directions: no pair of its may have
+    both indices in the fiber block.
     """
     chart = structure.chart
-    stacked = structure.thetas[0]
-    if len(structure.thetas) > 1:
-        stacked = stacked.stack(*structure.thetas[1:])
-    joint = tuple(kernel(stacked))
-    violations = []
-    fiber = chart.fiber_indices
-    for p, theta in enumerate(structure.thetas):
-        for a_pos, a in enumerate(fiber):
-            for b in fiber[a_pos + 1:]:
-                value = theta.entry(a, b)
-                if value:
-                    violations.append((p, a, b, value))
+    joint = tuple(kernel([row for theta in structure.thetas
+                          for row in theta.rows()]))
+    # a pair i < j joins two fiber directions when j, hence i, is below k*n
+    n_fiber = chart.k * chart.n
+    violations = [(p, i, j, c) for p, theta in enumerate(structure.thetas)
+                  for i, j, c in theta.pairs if j < n_fiber]
     return StructureReport(
         passed=not joint and not violations,
         joint_kernel=joint,

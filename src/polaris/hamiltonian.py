@@ -32,11 +32,12 @@ from .geometry import (
     KSymplecticStructure,
     OneFormRk,
     RkMap,
+    TwoForm,
     VectorField,
     interior_product,
     is_basic,
 )
-from .linalg import RationalMatrix, invert
+from .linalg import invert
 from .poly import Polynomial
 
 REASON_NONLINEAR = "nonlinear-in-fiber"
@@ -184,15 +185,24 @@ def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
                          for p in range(1, chart.k + 1)])
 
 
-def theta_pairing(theta: RationalMatrix, X: VectorField,
+def theta_pairing(theta: TwoForm, X: VectorField,
                   Y: VectorField) -> Polynomial:
-    """theta(X, Y) = sum_{ij} theta[i,j] X^i Y^j with polynomial entries."""
+    """theta(X, Y) = sum_{ij} theta[i,j] X^i Y^j with polynomial entries.
+
+    Each pair c dx^i ^ dx^j contributes c X^i Y^j - c X^j Y^i.
+    """
     if X.chart != Y.chart:
         raise ValueError("chart mismatch")
-    ys = Y.components()
-    return Polynomial.dot(X.chart.dim, ((xi * theta.entry(i, j), yj)
-                                        for i, xi in X.components()
-                                        for j, yj in ys if theta.entry(i, j)))
+    if theta.dim != X.chart.dim:
+        raise ValueError("form dimension does not match the chart")
+    xs, ys = dict(X.components()), dict(Y.components())
+    products = []
+    for i, j, c in theta.pairs:
+        if i in xs and j in ys:
+            products.append((xs[i] * c, ys[j]))
+        if j in xs and i in ys:
+            products.append((xs[j] * -c, ys[i]))
+    return Polynomial.dot(X.chart.dim, products)
 
 
 def bracket_via_theta(H: PolarizedForm, K: PolarizedForm) -> RkMap:
@@ -354,12 +364,10 @@ def zeta_inverse(omega: Sequence[Polynomial],
     if len(omega) != chart.dim:
         raise ValueError("one-form length does not match the chart")
     # i(X)theta reads sum_i X^i theta[i,j] = omega_j, i.e. theta^T X = omega
-    inverse = invert(structure.theta(0).transpose())
+    inverse = invert(list(zip(*structure.theta(0).rows())))
     return VectorField(chart, {
-        i: Polynomial.sum(chart.dim, (omega[j] * inverse.entry(i, j)
-                                      for j in range(chart.dim)
-                                      if inverse.entry(i, j)))
-        for i in range(chart.dim)})
+        i: Polynomial.sum(chart.dim, (omega[j] * v for j, v in enumerate(row) if v))
+        for i, row in enumerate(inverse)})
 
 
 def classical_bracket(H: Polynomial, K: Polynomial, chart: Chart) -> Polynomial:

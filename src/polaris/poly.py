@@ -43,6 +43,7 @@ term.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -76,6 +77,20 @@ Coefficient = Fraction | int
 
 class DegreeOverflowError(ValueError):
     """Raised when an operation would push an exponent past MAX_EXPONENT."""
+
+
+class UnprintableCoefficientError(ValueError):
+    """Raised by `to_string` for a coefficient with more digits than Python
+    converts to text (`sys.get_int_max_str_digits()`)."""
+
+
+def _digits(value: Fraction) -> str:
+    try:
+        return str(value)
+    except ValueError:
+        raise UnprintableCoefficientError(
+            f"coefficient too long to print (over "
+            f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 @lru_cache(maxsize=128)
@@ -442,13 +457,13 @@ class Polynomial:
                     factors.append(names[i])
                 elif e > 1:
                     factors.append(f"{names[i]}^{e}")
-            magnitude = abs(coeff)
+            magnitude = _digits(abs(coeff))
             if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
+                body = magnitude
+            elif magnitude == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(magnitude)] + factors)
+                body = "*".join([magnitude] + factors)
             pieces.append(("-" if coeff < 0 else "+", body))
         sign, body = pieces[0]
         out = ("-" if sign == "-" else "") + body

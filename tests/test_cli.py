@@ -8,6 +8,7 @@ import pytest
 
 from polaris.cli import MAX_DIM, MAX_TRIALS, main
 from polaris.parsing import MAX_NESTING
+from polaris.poly import MAX_EXPONENT
 
 DEMO = {
     "space": "nambu_rk1",
@@ -189,6 +190,26 @@ def test_degree_overflow_is_bad_input(demo, payload, argv):
     assert done.stderr.startswith("error:")
     assert "exponent above cap" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# (10^d - 1)^30 has 30d digits, one more run of 30 than Python's limit on
+# converting an int to text; the literal itself is short enough to parse
+UNPRINTABLE = "9" * (sys.get_int_max_str_digits() // 30 + 1)
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["field", "H"],
+                                  ["bracket", "H", "K"],
+                                  ["verify", "--trials", "1"]],
+                         ids=["validate", "field", "bracket", "verify"])
+def test_unprintable_coefficient_is_bad_input(demo, capsys, argv):
+    payload = {"space": "canonical", "n": 1, "k": 1,
+               "hamiltonians": {"H": [f"({UNPRINTABLE}*q1)^30*x1_1"],
+                                "K": ["x1_1"]}}
+    code, out, err = run(capsys, argv[0], demo(payload), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: coefficient too long to print (over "
+                   f"{sys.get_int_max_str_digits()} digits)\n")
 
 
 def test_missing_file(capsys):
@@ -502,6 +523,16 @@ FUZZ_EXPRESSIONS = (
 )
 FUZZ_VALUES = (None, True, 0, -1, 2, 0.25, 1e308, 1e-300, "", "z", "x1_1", [],
                {}, [1, 1], BIG, "1" * 5000)
+# power mutations of a map component, at and past MAX_EXPONENT, with and
+# without a coefficient whose power passes the int-to-string digit limit:
+# "(c*expr)^N" replaces the component, "expr + (c*z)^N" adds a basic
+# (leaf-only) term, so the map stays polarized and every command prints it
+BIG_FACTOR = "9" * (sys.get_int_max_str_digits() // MAX_EXPONENT + 1) + "*"
+FUZZ_POWERS = tuple(
+    (template, factor, exponent)
+    for template in ("({c}{expr})^{N}", "{expr} + ({c}z)^{N}")
+    for factor in ("", BIG_FACTOR)
+    for exponent in (MAX_EXPONENT, MAX_EXPONENT + 1))
 FUZZ_PATHS = (
     ("space",), ("k",), ("n",), ("aliases",), ("hamiltonians",),
     ("hamiltonians", "H"), ("hamiltonians", "H", 0), ("hamiltonians", "H", 1),
@@ -521,6 +552,11 @@ def _fuzz_cases():
               for coeff in ("1/" + "7" * 5000, "z^-1", "2", BIG)]
     cases += [(rng.choice(FUZZ_PATHS), rng.choice(FUZZ_VALUES + FUZZ_EXPRESSIONS))
               for _ in range(60)]
+    maps = json.loads(DEMO_FILE.read_text())["hamiltonians"]
+    for template, factor, exponent in FUZZ_POWERS:
+        name, slot = rng.choice("HK"), rng.randrange(2)
+        value = template.format(c=factor, expr=maps[name][slot], N=exponent)
+        cases.append((("hamiltonians", name, slot), value))
     return cases
 
 

@@ -10,6 +10,7 @@ from polaris.geometry import (
     KSymplecticStructure,
     OneFormRk,
     RkMap,
+    TwoForm,
     VectorField,
     canonical_theta,
     check_ksymplectic,
@@ -20,7 +21,7 @@ from polaris.geometry import (
     is_basic,
     xi_pairing,
 )
-from polaris.hamiltonian import hamiltonian_field
+from polaris.hamiltonian import hamiltonian_field, theta_pairing
 from polaris.linalg import kernel
 from polaris.parsing import parse_polynomial
 from polaris.poly import Polynomial
@@ -219,8 +220,8 @@ def test_canonical_structure_n1_k2():
     report = check_ksymplectic(KSymplecticStructure.canonical(R3))
     assert report.passed
     # kernels of the individual forms single out the two fiber axes
-    assert kernel(canonical_theta(R3, 1)) == [(Fraction(0), Fraction(1), Fraction(0))]
-    assert kernel(canonical_theta(R3, 2)) == [(Fraction(1), Fraction(0), Fraction(0))]
+    assert kernel(canonical_theta(R3, 1).rows()) == [(0, 1, 0)]
+    assert kernel(canonical_theta(R3, 2).rows()) == [(1, 0, 0)]
     assert report.joint_kernel == ()
 
 
@@ -241,23 +242,121 @@ def test_canonical_structures_pass(n, k):
 
 def test_vertical_isotropy_violation_detected():
     chart = Chart(1, 2)
-    theta = canonical_theta(chart, 1)
-    rows = [list(r) for r in theta.entries]
     a, b = chart.fiber_index(1, 1), chart.fiber_index(2, 1)
-    rows[a][b] = Fraction(1)
-    rows[b][a] = Fraction(-1)
-    from polaris.linalg import RationalMatrix
-    bad = KSymplecticStructure(chart, [RationalMatrix(rows),
-                                       canonical_theta(chart, 2)])
+    theta = TwoForm(chart.dim, canonical_theta(chart, 1).pairs + ((b, a, 3),))
+    bad = KSymplecticStructure(chart, [theta, canonical_theta(chart, 2)])
     report = check_ksymplectic(bad)
     assert not report.passed
-    assert report.vertical_violations
+    assert report.vertical_violations == ((0, a, b, -3),)
 
 
 def test_structure_rejects_non_antisymmetric():
-    from polaris.linalg import RationalMatrix
-    with pytest.raises(ValueError):
-        KSymplecticStructure(R3, [RationalMatrix.identity(3)])
+    # a diagonal coefficient is the part of a matrix no 2-form can carry
+    with pytest.raises(ValueError, match="diagonal"):
+        TwoForm(3, [(0, 1, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="dimension"):
+        KSymplecticStructure(R3, [TwoForm(4, [(0, 1, 1)])])
+
+
+# -- sparse 2-forms ------------------------------------------------------------
+
+
+def test_two_form_stores_each_pair_once_above_the_diagonal():
+    theta = TwoForm(4, [(2, 0, Fraction(1, 2)), (0, 2, 3), (3, 1, -1),
+                        (1, 3, -1), (0, 1, 5), (1, 0, 5), (2, 3, 0)])
+    # (2, 0) is stored negated and summed with (0, 2); (3, 1) and (1, 3)
+    # cancel, and so do (0, 1) and (1, 0); a zero is dropped
+    assert theta.pairs == ((0, 2, Fraction(5, 2)),)
+    assert theta.rows() == ((0, 0, Fraction(5, 2), 0), (0, 0, 0, 0),
+                            (Fraction(-5, 2), 0, 0, 0), (0, 0, 0, 0))
+    assert TwoForm(3, []).pairs == ()
+    assert TwoForm(3, [(2, 1, 1), (0, 2, 1), (0, 1, 2)]).pairs == (
+        (0, 1, 2), (0, 2, 1), (1, 2, -1))
+
+
+@pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 2), (2, -1), (5, 7)])
+def test_two_form_rejects_out_of_range_pairs(pair):
+    with pytest.raises(ValueError, match="out of range"):
+        TwoForm(3, [(*pair, 1)])
+
+
+def test_two_form_rejects_diagonal_pairs_even_with_zero_coefficient():
+    with pytest.raises(ValueError, match="diagonal"):
+        TwoForm(2, [(1, 1, 0)])
+
+
+def test_canonical_theta_is_the_n_fiber_leaf_pairs():
+    chart = Chart(3, 2)
+    for p in (1, 2):
+        assert canonical_theta(chart, p).pairs == tuple(
+            (chart.fiber_index(p, i), chart.leaf_index(i), 1) for i in (1, 2, 3))
+
+
+def dense_interior_product(X, rows):
+    """The dense formula sum_i X^i theta[i][j], one slot per j."""
+    dim = X.chart.dim
+    return tuple(Polynomial.sum(dim, (X.component(i) * rows[i][j]
+                                      for i in range(dim)))
+                 for j in range(dim))
+
+
+def dense_pairing(rows, X, Y):
+    """The dense formula sum_ij theta[i][j] X^i Y^j."""
+    dim = X.chart.dim
+    return Polynomial.sum(dim, (X.component(i) * Y.component(j) * rows[i][j]
+                                for i in range(dim) for j in range(dim)))
+
+
+def dense_vertical_violations(thetas, chart):
+    """The former dense scan: theta[a][b] for fiber indices a < b."""
+    fiber = chart.fiber_indices
+    grids = [theta.rows() for theta in thetas]
+    return tuple((p, a, b, rows[a][b]) for p, rows in enumerate(grids)
+                 for a_pos, a in enumerate(fiber) for b in fiber[a_pos + 1:]
+                 if rows[a][b])
+
+
+@st.composite
+def sparse_forms(draw):
+    """A chart, a few random sparse 2-forms with the triples that built
+    them, and two random fields on the chart."""
+    chart = draw(st.sampled_from([Chart(1, 1), Chart(1, 2), Chart(2, 1),
+                                  Chart(2, 2), Chart(1, 3)]))
+    dim = chart.dim
+    index = st.integers(0, dim - 1)
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    triple = st.tuples(index, index, coeff).filter(lambda t: t[0] != t[1])
+    triples = [draw(st.lists(triple, max_size=2 * dim))
+               for _ in range(draw(st.integers(1, 3)))]
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * dim), coeff,
+                            max_size=3).map(lambda terms: Polynomial(dim, terms))
+    fields = [VectorField(chart, draw(st.dictionaries(index, polys, max_size=dim)))
+              for _ in range(2)]
+    return chart, triples, fields
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_forms())
+def test_sparse_operators_match_the_dense_formulas(case):
+    chart, triples, (X, Y) = case
+    thetas = [TwoForm(chart.dim, t) for t in triples]
+    for theta, built_from in zip(thetas, triples):
+        # the dense matrix sum_t c_t (E_ij - E_ji) of the triples
+        rows = [[0] * chart.dim for _ in range(chart.dim)]
+        for i, j, c in built_from:
+            rows[i][j] += c
+            rows[j][i] -= c
+        assert [list(r) for r in theta.rows()] == rows
+        assert interior_product(X, theta) == dense_interior_product(X, rows)
+        assert theta_pairing(theta, X, Y) == dense_pairing(rows, X, Y)
+    report = check_ksymplectic(KSymplecticStructure(chart, thetas))
+    stacked = [row for theta in thetas for row in theta.rows()]
+    assert report.joint_kernel == tuple(kernel(stacked))
+    for vec in report.joint_kernel:
+        assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in stacked)
+    assert report.vertical_violations == dense_vertical_violations(thetas, chart)
+    assert report.passed == (not report.joint_kernel
+                             and not report.vertical_violations)
 
 
 def test_closed_pfaff_forms_for_polarized_fields():

@@ -3,15 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from polaris.linalg import RationalMatrix, invert, kernel
+from polaris.linalg import invert, kernel
 
 
-def naive_rank(m: RationalMatrix) -> int:
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def zero(rows, cols):
+    return [[0] * cols for _ in range(rows)]
+
+
+def mul_vector(m, vector):
+    return tuple(sum(a * v for a, v in zip(row, vector)) for row in m)
+
+
+def naive_rank(m) -> int:
     # straight fraction Gaussian elimination, kept independent of the
     # library's integer-preserving route
-    rows = [list(r) for r in m.entries]
+    rows = [[Fraction(v) for v in r] for r in m]
     rank = 0
-    for col in range(m.cols):
+    for col in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -26,11 +38,11 @@ def naive_rank(m: RationalMatrix) -> int:
 
 
 def test_identity_kernel_empty():
-    assert kernel(RationalMatrix.identity(3)) == []
+    assert kernel(identity(3)) == []
 
 
 def test_zero_matrix_full_kernel():
-    basis = kernel(RationalMatrix.zero(2, 2))
+    basis = kernel(zero(2, 2))
     assert len(basis) == 2
     assert sorted(basis) == [(0, 1), (1, 0)]
 
@@ -38,7 +50,7 @@ def test_zero_matrix_full_kernel():
 def test_pairing_form_kernel():
     # coefficient matrix of dx ^ dz with rows/cols ordered (x, y, z):
     # exactly the middle direction survives
-    m = RationalMatrix([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
+    m = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
     assert kernel(m) == [(0, 1, 0)]
 
 
@@ -47,18 +59,17 @@ def test_kernel_vectors_annihilate():
     for _ in range(150):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = RationalMatrix([
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-             for _ in range(cols)]
-            for _ in range(rows)])
+        m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+              for _ in range(cols)]
+             for _ in range(rows)]
         basis = kernel(m)
         for vec in basis:
-            assert all(v == 0 for v in m.mul_vector(vec))
+            assert all(v == 0 for v in mul_vector(m, vec))
         assert len(basis) == cols - naive_rank(m)
 
 
 def test_kernel_basis_is_normalized():
-    basis = kernel(RationalMatrix([[Fraction(1, 2), 1, 0]]))
+    basis = kernel([[Fraction(1, 2), 1, 0]])
     for vec in basis:
         assert all(v.denominator == 1 for v in vec)
         lead = next(v for v in vec if v)
@@ -67,36 +78,32 @@ def test_kernel_basis_is_normalized():
 
 def test_invert_roundtrip():
     rng = random.Random(3)
-    eye = RationalMatrix.identity(3)
     found = 0
     while found < 20:
-        m = RationalMatrix([[rng.randint(-3, 3) for _ in range(3)]
-                            for _ in range(3)])
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         try:
             inv = invert(m)
         except ValueError:
             continue
         found += 1
-        product = RationalMatrix([inv.mul_vector(col)
-                                  for col in zip(*m.entries)]).transpose()
-        assert product == eye
+        product = [mul_vector(inv, col) for col in zip(*m)]
+        assert [list(r) for r in zip(*product)] == identity(3)
+        assert all(isinstance(v, Fraction) for row in inv for v in row)
 
 
 def test_invert_singular():
-    with pytest.raises(ValueError):
-        invert(RationalMatrix.zero(2, 2))
+    with pytest.raises(ValueError, match="singular"):
+        invert(zero(2, 2))
 
 
-def test_antisymmetry_and_stack():
-    theta = RationalMatrix([[0, 1], [-1, 0]])
-    assert theta.is_antisymmetric()
-    assert not RationalMatrix.identity(2).is_antisymmetric()
-    tall = theta.stack(RationalMatrix.identity(2))
-    assert tall.rows == 4 and tall.cols == 2
-    with pytest.raises(ValueError):
-        theta.stack(RationalMatrix.identity(3))
+def test_invert_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        invert([[1, 0, 0], [0, 1, 0]])
 
 
 def test_ragged_rows_rejected():
-    with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [3]])
+    for m in ([[1, 2], [3]], [], [[]]):
+        with pytest.raises(ValueError):
+            kernel(m)
+        with pytest.raises(ValueError):
+            invert(m)

@@ -5,7 +5,11 @@ rationals, with an arithmetic written independently of polaris.  Every
 ring operation, the partial derivative and `Polynomial.sum` are compared
 with it term by term on polynomials drawn by hypothesis, so a rewrite of
 the coefficient kernel is checked against an outside oracle rather than
-against itself.  sympy is needed by these tests only.
+against itself.  The 2-form layer is checked the same way: each
+canonical theta^p is written down as a `sympy.Matrix` from its defining
+formula, and the contraction and the theta route of the bracket are
+matched with sympy's matrix products.  sympy is needed by these tests
+only.
 """
 
 from fractions import Fraction
@@ -15,10 +19,15 @@ import pytest
 pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st
-from sympy import QQ
+from sympy import QQ, Matrix, Poly, Rational, S, symbols, zeros
 from sympy.polys.rings import ring
 
-from polaris.geometry import Chart
+from polaris.geometry import Chart, KSymplecticStructure, interior_product
+from polaris.hamiltonian import (
+    PolarizedForm,
+    bracket_via_theta,
+    hamiltonian_field,
+)
 from polaris.parsing import parse_polynomial
 from polaris.poly import MAX_EXPONENT, Polynomial
 
@@ -143,3 +152,81 @@ def test_sum_leaves_its_operands_unchanged():
 def test_to_string_parses_back(case):
     chart, (a,) = case
     assert parse_polynomial(a.to_string(chart.var_names), chart) == a
+
+
+# -- the 2-form layer ----------------------------------------------------------
+
+# every (n, k) with n(k+1) <= 8
+FORM_CHARTS = tuple(Chart(n, k) for n in range(1, 5) for k in range(1, 8)
+                    if n * (k + 1) <= 8)
+
+
+def sympy_theta(chart, p):
+    """theta^p = sum_i dx^{pi} ^ dq^i (1-based p) as its coefficient matrix.
+
+    Fiber variable p,i sits at index (p-1)n + (i-1) and leaf variable i at
+    kn + (i-1); a wedge dx^a ^ dx^b puts 1 at (a, b) and -1 at (b, a).
+    """
+    n, k = chart.n, chart.k
+    theta = zeros(chart.dim, chart.dim)
+    for i in range(1, n + 1):
+        a, b = (p - 1) * n + (i - 1), k * n + (i - 1)
+        theta[a, b], theta[b, a] = 1, -1
+    return theta
+
+
+def to_expr(poly, gens):
+    total = S.Zero
+    for exps, c in poly.terms.items():
+        term = Rational(c.numerator, c.denominator)
+        for g, e in zip(gens, exps):
+            term *= g ** e
+        total += term
+    return total
+
+
+def expr_terms(expr, gens):
+    """The coefficient dict of an expression, in polaris's `terms` shape."""
+    return {exps: Fraction(int(c.p), int(c.q))
+            for exps, c in Poly(expr, *gens).as_dict().items() if c}
+
+
+def column(X, gens):
+    return Matrix([to_expr(X.component(i), gens) for i in range(X.chart.dim)])
+
+
+@st.composite
+def polarized_pair(draw):
+    """Two polarized forms with basic f and g of few, small terms."""
+    chart = draw(st.sampled_from(FORM_CHARTS))
+    leaf = set(chart.leaf_indices)
+    exps = st.tuples(*[st.integers(0, 2) if i in leaf else st.just(0)
+                       for i in range(chart.dim)])
+    basic = st.dictionaries(exps, coefficients, max_size=3).map(
+        lambda terms: Polynomial(chart.dim, terms))
+    forms = [PolarizedForm(chart, [draw(basic) for _ in range(chart.n)],
+                           [draw(basic) for _ in range(chart.k)])
+             for _ in range(2)]
+    return chart, forms
+
+
+@settings(max_examples=60, deadline=None)
+@given(polarized_pair())
+def test_two_form_layer_matches_sympy_matrices(case):
+    chart, (H, K) = case
+    gens = symbols(f"v0:{chart.dim}")
+    structure = KSymplecticStructure.canonical(chart)
+    X_H, X_K = hamiltonian_field(H), hamiltonian_field(K)
+    XH, XK = column(X_H, gens), column(X_K, gens)
+    via_theta = bracket_via_theta(H, K)
+    for p in range(1, chart.k + 1):
+        theta = sympy_theta(chart, p)
+        expected = XH.T * theta
+        row = interior_product(X_H, structure.theta(p - 1))
+        H_p = to_expr(H.to_map()[p - 1], gens)
+        for j in range(chart.dim):
+            assert dict(row[j].terms) == expr_terms(expected[j], gens)
+            # and it solves i(X_H)theta^p = -dH^p
+            assert expr_terms(expected[j] + H_p.diff(gens[j]), gens) == {}
+        value = (-XH.T * theta * XK)[0, 0]
+        assert dict(via_theta[p - 1].terms) == expr_terms(value, gens)
