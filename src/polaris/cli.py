@@ -30,6 +30,7 @@ environment variable, else the file's tasks, else 42.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -495,7 +496,11 @@ def cmd_integrate(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    caller, who must not change it; argparse keeps no state between
+    `parse_args` calls, so `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="polaris",
         description="Exact polarized brackets and Nambu dynamics on "

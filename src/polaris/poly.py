@@ -150,9 +150,9 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != dim:
                 raise ValueError(f"exponent vector {exps} does not have length {dim}")
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            if any(e > MAX_EXPONENT for e in exps):
+            if max(exps) > MAX_EXPONENT:
                 raise DegreeOverflowError(
                     f"exponent above cap {MAX_EXPONENT} in {exps}")
             p, q = _ratio(coeff)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polaris.cli import MAX_DIM, MAX_TRIALS, main
+from polaris.cli import MAX_DIM, MAX_TRIALS, build_parser, main
 from polaris.parsing import MAX_NESTING
 from polaris.poly import MAX_EXPONENT
 
@@ -578,3 +578,37 @@ def test_fuzz_one_field_never_crashes(tmp_path, capsys, path, value):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), command
         assert "Traceback" not in err
+
+
+# -- one argument parser per process -------------------------------------------
+
+
+def test_successive_calls_answer_like_fresh_processes(demo, capsys, monkeypatch):
+    # `main` builds its argument parser once; every later call, also after
+    # a usage error or --help, must print and exit as a new process does
+    monkeypatch.setenv("COLUMNS", "80")  # the same help layout in both
+    path = demo(DEMO)
+    calls = [
+        ["validate", path],
+        ["field", path, "H"],
+        ["verify", path, "--trials", "abc"],  # usage error: exit 2
+        ["bracket", path, "H", "K", "--json"],
+        ["--help"],
+        ["verify", path, "--trials", "3"],
+        ["nope", path],
+        ["nambu", path, "H"],
+        ["verify", "--help"],
+        ["validate", path, "--json"],
+    ]
+    build_parser.cache_clear()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "polaris", *argv],
+                               capture_output=True, text=True)
+        assert (code, captured.out, captured.err) \
+            == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser.cache_info().misses == 1

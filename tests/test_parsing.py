@@ -1,12 +1,17 @@
+import json
 import random
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from polaris.cli import load_problem
 from polaris.geometry import Chart
 from polaris.parsing import MAX_NESTING, ParseError, parse_polynomial
-from polaris.poly import Polynomial
+from polaris.poly import MAX_EXPONENT, DegreeOverflowError, Polynomial
 from polaris.nambu import NambuSpaceRk1
 from polaris.sampling import random_polynomial
 
@@ -57,6 +62,7 @@ def test_unary_minus():
     assert parse_polynomial("-x", R3) == parse_polynomial("(0-1)*x", R3)
     assert parse_polynomial("-x^2", R3) == -(x * x)
     assert parse_polynomial("3*-x", R3) == -3 * x
+    assert parse_polynomial("2*-x^2", R3) == -2 * x * x
 
 
 def test_parse_zero():
@@ -197,11 +203,30 @@ ERROR_TABLE = [
     ("x 1", "unexpected trailing input '1'", 2),
     ("x\ny", "unexpected trailing input 'y'", 2),
     ("x^2^3", "unexpected trailing input '^'", 3),
+    # a term's plain factors fold into one monomial; errors stay where the
+    # left-to-right product of Polynomials puts them
+    ("*".join(["x"] * (MAX_EXPONENT + 1)), "product overflows the degree cap",
+     2 * MAX_EXPONENT - 1),
+    ("2*x*w", "unknown variable 'w'", 4),
+    ("-" * (MAX_NESTING + 1) + "1", "expression nested too deeply", MAX_NESTING),
+    ("w^-1", "unknown variable 'w'", 0),
+    ("x^32*x^y", "exponent must be a plain non-negative integer", 7),
+    ("x^20*(x^20)", "product overflows the degree cap", 4),
 ]
 
 
+def _row_ids(rows):
+    """The first 24 characters of each text's repr; a later row whose
+    prefix is taken also gets its last characters."""
+    ids = []
+    for text, _, _ in rows:
+        name = repr(text)[:24]
+        ids.append(name if name not in ids else f"{name}..{text[-4:]!r}")
+    return ids
+
+
 @pytest.mark.parametrize("text, message, offset", ERROR_TABLE,
-                         ids=[repr(row[0])[:24] for row in ERROR_TABLE])
+                         ids=_row_ids(ERROR_TABLE))
 def test_error_table(text, message, offset):
     with pytest.raises(ParseError) as err:
         parse_polynomial(text, R3)
@@ -234,3 +259,161 @@ def test_number_length_limit_is_per_digit_run():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x*(" + "9" * (limit + 1) + ")", R3)
     assert (err.value.message, err.value.offset) == ("number too long", 3)
+
+
+# -- the fold against a parse that builds every atom as a Polynomial -----------
+
+CHART = Chart(2, 2, aliases={"x": "x1_1", "y": "q1"})
+ROOT = Path(__file__).resolve().parent.parent
+_REF_TOKEN = re.compile(r"\s*(?:([0-9]+(?:[./][0-9]+)?)|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
+
+
+def reference_parse(text, chart):
+    """Parse well-formed `text` as the grammar reads it: every literal and
+    variable its own Polynomial, each '*' and '^' its own product, left to
+    right, and a degree-cap error at the operator whose product passes it."""
+    tokens = [(m.start(m.lastindex), m[m.lastindex], m.lastindex)
+              for m in _REF_TOKEN.finditer(text)] + [(len(text), "", 0)]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr():
+        value = term()
+        while tokens[pos][1] in ("+", "-"):
+            op = take()[1]
+            value = value + term() if op == "+" else value - term()
+        return value
+
+    def term():
+        value = factor()
+        while tokens[pos][1] == "*":
+            star = take()[0]
+            rhs = factor()
+            try:
+                value = value * rhs
+            except DegreeOverflowError:
+                raise ParseError("product overflows the degree cap", star) from None
+        return value
+
+    def factor():
+        if tokens[pos][1] == "-":
+            take()
+            return -factor()
+        _, word, group = take()
+        if group == 1:
+            value = chart.constant(Fraction(word))
+        elif group == 2:
+            value = chart.coordinate(word)
+        else:
+            value = expr()
+            take()  # ")"
+        if tokens[pos][1] == "^":
+            caret = take()[0]
+            try:
+                value = value ** int(take()[1])
+            except DegreeOverflowError:
+                raise ParseError("exponentiation overflows the degree cap",
+                                 caret) from None
+        return value
+
+    value = expr()
+    assert pos == len(tokens) - 1, text
+    return value
+
+
+def outcome(parse, text, chart):
+    try:
+        return parse(text, chart)
+    except ParseError as exc:
+        return exc.message, exc.offset
+
+
+LITERALS = st.one_of(
+    st.integers(0, 120).map(str),
+    st.builds("{}/{}".format, st.integers(0, 40), st.integers(1, 40)),
+    st.builds("{}.{}".format, st.integers(0, 9), st.sampled_from(["0", "5", "125"])))
+MINUS = st.sampled_from(["", "", "", "-", "-", "--", "---"])
+POWER = st.sampled_from(["", "", "", "^0", "^1", " ^ 2", "^5", "^16", "^31", "^32"])
+GROUP_POWER = st.sampled_from(["", "", "^0", "^1", " ^2"])
+STAR = st.sampled_from(["*", "*", " * "])
+SIGN = st.sampled_from([" + ", "+", " - ", "-", " -"])
+
+
+def _expressions(depth):
+    """Sums of products of runs of numbers and variables, `-` chains and
+    powers, with parenthesised groups nested at most `depth` deep."""
+    plain = st.builds("{}{}{}".format, MINUS,
+                      st.one_of(LITERALS, st.sampled_from(CHART.var_names + ("x", "y"))),
+                      POWER)
+    factor = plain if depth == 0 else st.one_of(
+        plain, plain, plain, plain,
+        st.builds("{}({}){}".format, MINUS, _expressions(depth - 1), GROUP_POWER))
+    term = st.builds(str.join, STAR, st.lists(factor, min_size=1, max_size=4))
+    return st.builds(lambda first, rest: first + "".join(map("".join, rest)),
+                     term, st.lists(st.tuples(SIGN, term), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions(2))
+@example("2*-x^2")
+@example("-1/2*q1*q1 + 2/3*q1*q2 - -3*q2")
+@example("x^16*x^16*x")
+@example("0*x^32*x")
+@example("x^32*0*x")
+@example("x^32*(0)*x")
+@example("0*x^32*x*(y)")
+@example("x^16*(x^16)*x*y")
+@example("2*x^30*(x + 1)^2")
+@example("(x+1)^2*x^31")
+@example("--x - -(-2.5*y)^2")
+def test_parse_matches_atom_by_atom_reference(text):
+    assert outcome(parse_polynomial, text, CHART) \
+        == outcome(reference_parse, text, CHART)
+
+
+def test_problem_files_match_atom_by_atom_reference():
+    paths = [ROOT / "problems" / "demo.json", *sorted((ROOT / "tests" / "golden").glob("*.json"))]
+    checked = 0
+    for path in paths:
+        raw = json.loads(path.read_text())
+        if "hamiltonians" not in raw:
+            continue  # a report, not a problem
+        chart = load_problem(str(path)).chart
+        for comps in raw["hamiltonians"].values():
+            for text in comps:
+                assert parse_polynomial(text, chart) == reference_parse(text, chart)
+                checked += 1
+    assert checked >= 20
+
+
+def test_bench_shaped_component_multiplies_once_per_group(monkeypatch):
+    # H^p = sum_j f_j x^{pj} + g^p with dense f_j, g^p as the verify
+    # benchmark writes them: the flat terms inside the groups fold, so only
+    # each `(f_j)*x` is a Polynomial product
+    chart = Chart(3, 3)
+    rng = random.Random(7)
+    coeffs = ["1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2", "2/3", "-2/3"]
+    leaves = ["q1", "q2", "q3"]
+    monomials = [()] + [(a,) for a in leaves] + [
+        (a, b) for i, a in enumerate(leaves) for b in leaves[i:]]
+
+    def dense():
+        return " + ".join("*".join([rng.choice(coeffs), *mono]) for mono in monomials)
+
+    text = " + ".join([f"({dense()})*x1_{i}" for i in (1, 2, 3)] + [f"({dense()})"])
+    calls = []
+    dot = Polynomial.dot.__func__
+
+    def counting_dot(cls, dim, pairs):
+        calls.append(dim)
+        return dot(cls, dim, pairs)
+
+    monkeypatch.setattr(Polynomial, "dot", classmethod(counting_dot))
+    value = parse_polynomial(text, chart)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= text.count("(")
+    assert value == reference_parse(text, chart)

@@ -87,6 +87,21 @@ def test_dimension_mismatch():
         X * Polynomial.variable(4, 0)
 
 
+@pytest.mark.parametrize("exps, error, message", [
+    ((1, 0), ValueError, "exponent vector (1, 0) does not have length 3"),
+    ((-1, 40), ValueError, "exponent vector (-1, 40) does not have length 3"),
+    ((0, -1, 40), ValueError, "negative exponent in (0, -1, 40)"),
+    ((40, 0, -1), ValueError, "negative exponent in (40, 0, -1)"),
+    ((0, 0, 33), DegreeOverflowError, "exponent above cap 32 in (0, 0, 33)"),
+], ids=["length", "length-before-sign", "sign-before-cap", "sign-last",
+        "cap"])
+def test_constructor_checks_length_then_sign_then_cap(exps, error, message):
+    with pytest.raises(ValueError) as err:
+        Polynomial(3, {exps: 1})
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 # -- fused sum of products ------------------------------------------------
 
 
