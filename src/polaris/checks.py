@@ -50,7 +50,8 @@ from .nambu import (
     verify_relation_rk1,
 )
 from .poly import MAX_EXPONENT
-from .sampling import DEFAULT_SEED, random_basic, random_polarized, random_polynomial
+from .sampling import (DEFAULT_SEED, DEFAULT_TRIALS, random_basic,
+                       random_polarized, random_polynomial)
 
 
 @dataclass(frozen=True)
@@ -200,30 +201,44 @@ def routes_check(label: str, a: PolarizedForm, b: PolarizedForm, ab: RkMap,
     return CheckResult(f"routes[{label}]", True)
 
 
-def closure_check(label: str, ab: RkMap) -> CheckResult:
-    """The bracket ab = {a,b} is polarized again."""
+def closure_check(label: str, ab: RkMap) -> tuple[CheckResult, PolarizedForm | None]:
+    """The bracket ab = {a,b} is polarized again; returns its decomposition."""
     try:
-        decompose_polarized(ab)
+        ab_form = decompose_polarized(ab)
     except NotPolarized as exc:
-        return CheckResult(f"closure[{label}]", False, ab.to_string(), str(exc))
-    return CheckResult(f"closure[{label}]", True)
+        return CheckResult(f"closure[{label}]", False, ab.to_string(),
+                           str(exc)), None
+    return CheckResult(f"closure[{label}]", True), ab_form
 
 
 def morphism_check(label: str, a: PolarizedForm, b: PolarizedForm,
-                   ba: RkMap) -> CheckResult:
-    """[X_H, X_K] = X_{K,H} under the fixed sign conventions; ba = {b,a}."""
-    lhs = lie_bracket(hamiltonian_field(a), hamiltonian_field(b))
-    rhs = hamiltonian_field(decompose_polarized(ba))
-    delta = lhs - rhs
+                   ab_form: PolarizedForm) -> CheckResult:
+    """[X_H, X_K] = X_{K,H} under the fixed sign conventions, checked as
+    [X_H, X_K] + X_{H,K} = 0; ab_form is {a,b} decomposed."""
+    delta = (lie_bracket(hamiltonian_field(a), hamiltonian_field(b))
+             + hamiltonian_field(ab_form))
     return CheckResult(f"morphism[{label}]", delta.is_zero, delta.to_string())
 
 
 def pairing_bracket_check(label: str, a: PolarizedForm, b: PolarizedForm,
-                          ba: RkMap) -> CheckResult:
-    """<dK, X_H> = {K,H}; ba = {b,a}."""
-    lhs = xi_pairing(differential(b.to_map()), hamiltonian_field(a))
-    delta = lhs - ba
+                          ab: RkMap) -> CheckResult:
+    """<dK, X_H> = {K,H}, checked as <dK, X_H> + {H,K} = 0; ab = {a,b}."""
+    delta = xi_pairing(differential(b.to_map()), hamiltonian_field(a)) + ab
     return CheckResult(f"pairing-bracket[{label}]", delta.is_zero, delta.to_string())
+
+
+def pair_checks(label: str, a: PolarizedForm, b: PolarizedForm,
+                tensor: GeneralPoissonTensor) -> tuple[list[CheckResult], RkMap]:
+    """Routes, closure and, when {a,b} closes, the morphism identity; returns
+    them and {a,b}.  The pair is bracketed once: {K,H} = -{H,K} term by term
+    and X_{-P} = -X_P, so the morphism and pairing checks read {b,a} off it."""
+    ab = bracket(a, b)
+    results = [routes_check(label, a, b, ab, tensor)]
+    closure, ab_form = closure_check(label, ab)
+    results.append(closure)
+    if ab_form is not None:
+        results.append(morphism_check(label, a, b, ab_form))
+    return results, ab
 
 
 def jacobi_result(label: str, a: PolarizedForm, b: PolarizedForm,
@@ -232,14 +247,21 @@ def jacobi_result(label: str, a: PolarizedForm, b: PolarizedForm,
     return CheckResult(f"jacobi[{label}]", report.passed, report.residual_text)
 
 
-# -- random corpus -------------------------------------------------------------
+# -- seeded trials -------------------------------------------------------------
 
 
-def _aggregate(name: str, failures: list[str], trials: int) -> CheckResult:
-    if failures:
-        return CheckResult(name, False, failures[0],
-                           f"{len(failures)} of {trials} trials failed")
-    return CheckResult(name, True, "0", f"trials={trials}")
+def _trials(seed: int, trials: int, names, trial) -> list[CheckResult]:
+    """One result per name over `trials` runs of `trial(rng)` on one seeded
+    RNG; each run yields (name, residual) for every check that fails."""
+    rng = random.Random(seed)
+    failures: dict[str, list[str]] = {name: [] for name in names}
+    for _ in range(trials):
+        for name, residual in trial(rng):
+            failures[name].append(residual)
+    return [CheckResult(name, False, texts[0],
+                        f"{len(texts)} of {trials} trials failed") if texts
+            else CheckResult(name, True, "0", f"trials={trials}")
+            for name, texts in failures.items()]
 
 
 def random_corpus_checks(chart: Chart, tensor: GeneralPoissonTensor,
@@ -250,63 +272,47 @@ def random_corpus_checks(chart: Chart, tensor: GeneralPoissonTensor,
     before `random_basic` draws, so the RNG stream depends only on which
     trials close.
     """
-    rng = random.Random(seed)
-    failures: dict[str, list[str]] = {
-        key: [] for key in ("routes", "closure", "morphism", "jacobi",
-                            "basic-module")}
-    for _ in range(trials):
-        a = random_polarized(rng, chart)
-        b = random_polarized(rng, chart)
-        c = random_polarized(rng, chart)
-        ab = bracket(a, b)
-        routes = routes_check("random", a, b, ab, tensor)
+    def trial(rng):
+        a, b, c = (random_polarized(rng, chart) for _ in range(3))
+        (routes, closure, *morphism), _ = pair_checks("random", a, b, tensor)
         if not routes.passed:
-            failures["routes"].append(routes.residual)
-        closure = closure_check("random", ab)
+            yield "random.routes", routes.residual
         if not closure.passed:
-            failures["closure"].append(closure.details)  # the NotPolarized message
-            continue
-        ba = bracket(b, a)
-        for key, result in (("morphism", morphism_check("random", a, b, ba)),
-                            ("jacobi", jacobi_result("random", a, b, c))):
+            yield "random.closure", closure.details  # the NotPolarized message
+            return
+        for name, result in (("random.morphism", morphism[0]),
+                             ("random.jacobi", jacobi_result("random", a, b, c))):
             if not result.passed:
-                failures[key].append(result.residual)
-        scaled = random_basic(rng, chart) * a.to_map()
+                yield name, result.residual
         try:
-            decompose_polarized(scaled)
+            decompose_polarized(random_basic(rng, chart) * a.to_map())
         except NotPolarized as exc:
-            failures["basic-module"].append(str(exc))
-    return [_aggregate(f"random.{key}", texts, trials)
-            for key, texts in failures.items()]
+            yield "random.basic-module", str(exc)
+
+    return _trials(seed, trials, [f"random.{key}" for key in (
+        "routes", "closure", "morphism", "jacobi", "basic-module")], trial)
 
 
 def classical_checks(chart: Chart, seed: int, trials: int) -> list[CheckResult]:
     """Antisymmetry, Leibniz and Jacobi for arbitrary functions at k = 1."""
-    rng = random.Random(seed)
     names = chart.var_names
-    antisym: list[str] = []
-    leibniz: list[str] = []
-    jacobi: list[str] = []
-    for _ in range(trials):
-        H = random_polynomial(rng, chart)
-        K = random_polynomial(rng, chart)
-        L = random_polynomial(rng, chart)
+
+    def trial(rng):
+        H, K, L = (random_polynomial(rng, chart) for _ in range(3))
         delta = classical_bracket(H, K, chart) + classical_bracket(K, H, chart)
         if not delta.is_zero:
-            antisym.append(delta.to_string(names))
+            yield "classical.antisymmetry", delta.to_string(names)
         delta = (classical_bracket(H, K * L, chart)
                  - classical_bracket(H, K, chart) * L
                  - K * classical_bracket(H, L, chart))
         if not delta.is_zero:
-            leibniz.append(delta.to_string(names))
+            yield "classical.leibniz", delta.to_string(names)
         report = jacobi_check(H, K, L, chart)
         if not report.passed:
-            jacobi.append(report.residual_text)
-    return [
-        _aggregate("classical.antisymmetry", antisym, trials),
-        _aggregate("classical.leibniz", leibniz, trials),
-        _aggregate("classical.jacobi", jacobi, trials),
-    ]
+            yield "classical.jacobi", report.residual_text
+
+    return _trials(seed, trials, ["classical.antisymmetry", "classical.leibniz",
+                                  "classical.jacobi"], trial)
 
 
 # -- Nambu relations ------------------------------------------------------------
@@ -316,13 +322,12 @@ def _random_relation(name: str, verify, space: NambuSpaceRk1 | NambuSpaceR3n,
                      seed: int, trials: int, degree: int = 2) -> CheckResult:
     """`verify(pf, space)` over seeded random polarized maps on the space,
     with f and g of at most `degree`."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for _ in range(trials):
+    def trial(rng):
         report = verify(random_polarized(rng, space.chart, degree), space)
         if not report.passed:
-            failures.append(report.residual_text())
-    return _aggregate(name, failures, trials)
+            yield name, report.residual_text()
+
+    return _trials(seed, trials, [name], trial)[0]
 
 
 def nambu_rk1_checks(space: NambuSpaceRk1,
@@ -354,40 +359,27 @@ def nambu_r3n_checks(space: NambuSpaceR3n, named: Mapping[str, RkMap],
                      seed: int, trials: int) -> list[CheckResult]:
     out = []
     chart = space.chart
+
+    def first_nonzero(name: str, polys) -> CheckResult:
+        witness = next((poly for poly in polys if not poly.is_zero), None)
+        return CheckResult(name, witness is None, "0" if witness is None
+                           else witness.to_string(chart.var_names))
+
     for name, H in named.items():
-        conserved = True
-        witness = "0"
-        for comp in H.comps:
-            value = nambu_bracket_r3n(comp, H[0], H[1], space)
-            if not value.is_zero:
-                conserved = False
-                witness = value.to_string(chart.var_names)
-                break
-        out.append(CheckResult(f"nambu.first-integrals[{name}]", conserved, witness))
+        out.append(first_nonzero(f"nambu.first-integrals[{name}]", (
+            nambu_bracket_r3n(comp, H[0], H[1], space) for comp in H.comps)))
     for name, pf in polarized.items():
         report = verify_relation_r3n(pf, space)
         out.append(CheckResult(f"nambu.relation-r3n[{name}]", report.passed,
                                report.residual_text()))
-        delta_text = "0"
-        ok = True
-        for i in range(1, space.n + 1):
-            zi = space.triple_indices(i)[2]
-            delta = report.lhs.component(zi) - pf.f[i - 1] * pf.f[i - 1]
-            if not delta.is_zero:
-                ok = False
-                delta_text = delta.to_string(chart.var_names)
-                break
-        out.append(CheckResult(f"nambu.z-rate[{name}]", ok, delta_text))
+        out.append(first_nonzero(f"nambu.z-rate[{name}]", (
+            report.lhs.component(space.triple_indices(i)[2]) - f * f
+            for i, f in enumerate(pf.f, start=1))))
     if space.n == 1:
         twin = NambuSpaceRk1(2)
-        failures: list[str] = []
-        for name, H in named.items():
-            ours = nambu_field_r3n(H[0], H[1], space)
-            theirs = nambu_field_rk1(RkMap(twin.chart, H.comps), twin)
-            for idx in range(chart.dim):
-                if ours.component(idx) != theirs.component(idx):
-                    failures.append(name)
-                    break
+        failures = [name for name, H in named.items()
+                    if nambu_field_r3n(H[0], H[1], space).components()
+                    != nambu_field_rk1(RkMap(twin.chart, H.comps), twin).components()]
         out.append(CheckResult("nambu.rk1-r3n-consistency", not failures,
                                "0" if not failures else failures[0],
                                f"maps={len(named)}"))
@@ -402,7 +394,8 @@ def nambu_r3n_checks(space: NambuSpaceR3n, named: Mapping[str, RkMap],
 def run_suite(chart: Chart, named_maps: Mapping[str, RkMap], *,
               tensor: GeneralPoissonTensor | None = None,
               space: NambuSpaceRk1 | NambuSpaceR3n | None = None,
-              seed: int = DEFAULT_SEED, trials: int = 100) -> list[CheckResult]:
+              seed: int = DEFAULT_SEED,
+              trials: int = DEFAULT_TRIALS) -> list[CheckResult]:
     """The full invariant suite for one problem, in deterministic order."""
     if tensor is None:
         tensor = canonical_poisson_tensor(chart)
@@ -418,11 +411,9 @@ def run_suite(chart: Chart, named_maps: Mapping[str, RkMap], *,
     for a, b in combinations(names, 2):
         label = f"{a},{b}"
         pa, pb = polarized[a], polarized[b]
-        ab, ba = bracket(pa, pb), bracket(pb, pa)
-        results.append(routes_check(label, pa, pb, ab, tensor))
-        results.append(closure_check(label, ab))
-        results.append(morphism_check(label, pa, pb, ba))
-        results.append(pairing_bracket_check(label, pa, pb, ba))
+        pair, ab = pair_checks(label, pa, pb, tensor)
+        results.extend(pair)
+        results.append(pairing_bracket_check(label, pa, pb, ab))
     for a, b, c in combinations(names, 3):
         results.append(jacobi_result(f"{a},{b},{c}", polarized[a],
                                      polarized[b], polarized[c]))

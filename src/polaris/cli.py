@@ -57,7 +57,7 @@ from .hamiltonian import (
 from .nambu import NambuSpaceR3n, NambuSpaceRk1, nambu_field_r3n, nambu_field_rk1
 from .parsing import ParseError, parse_polynomial
 from .poly import DegreeOverflowError, UnprintableCoefficientError
-from .sampling import DEFAULT_SEED
+from .sampling import DEFAULT_SEED, DEFAULT_TRIALS
 
 SPACES = ("canonical", "nambu_rk1", "nambu_r3n")
 TOP_KEYS = {"space", "n", "k", "aliases", "hamiltonians", "tasks",
@@ -233,9 +233,20 @@ def load_problem(path: str) -> Problem:
 # -- report rendering ---------------------------------------------------------
 
 
-def _chart_info(problem: Problem) -> dict:
-    return {"n": problem.chart.n, "k": problem.chart.k,
-            "dim": problem.chart.dim}
+def _report(command: str, problem: Problem) -> tuple[dict, list[str]]:
+    """The leading keys of the JSON report and the first line of the text
+    report, the same for every command."""
+    chart = problem.chart
+    return ({"command": command, "file": problem.path,
+             "space": problem.space_kind,
+             "chart": {"n": chart.n, "k": chart.k, "dim": chart.dim}},
+            [f"polaris {command} {problem.path}"])
+
+
+def _space_line(problem: Problem) -> str:
+    chart = problem.chart
+    return (f"space: {problem.space_kind}  chart: n={chart.n} k={chart.k} "
+            f"dim={chart.dim}")
 
 
 def _emit(report: dict, lines: list[str], as_json: bool):
@@ -281,9 +292,8 @@ def _map_or_error(problem: Problem, name: str) -> RkMap:
 def cmd_validate(args) -> int:
     problem = load_problem(args.file)
     names = problem.chart.var_names
-    lines = [f"polaris validate {problem.path}",
-             f"space: {problem.space_kind}  chart: n={problem.chart.n} "
-             f"k={problem.chart.k} dim={problem.chart.dim}"]
+    report, lines = _report("validate", problem)
+    lines.append(_space_line(problem))
     maps_payload = []
     for name, H in problem.hamiltonians.items():
         try:
@@ -299,9 +309,7 @@ def cmd_validate(args) -> int:
                              "f": f_text, "g": g_text})
     if not problem.hamiltonians:
         lines.append("no hamiltonian maps declared")
-    report = {"command": "validate", "file": problem.path,
-              "space": problem.space_kind, "chart": _chart_info(problem),
-              "maps": maps_payload}
+    report["maps"] = maps_payload
     _emit(report, lines, args.json)
     return 0
 
@@ -318,13 +326,11 @@ def cmd_bracket(args) -> int:
         raise ProblemError(f"bracket needs polarized maps: {exc}")
     value = bracket(pf_h, pf_k)
     f_text, g_text = _fg_text(decompose_polarized(value), names)
-    lines = [f"polaris bracket {problem.path}",
-             f"{{{args.name_h},{args.name_k}}} = {value.to_string()}",
-             f"f = {f_text}",
-             f"g = {g_text}"]
-    report = {"command": "bracket", "file": problem.path,
-              "space": problem.space_kind, "chart": _chart_info(problem),
-              "bracket": value.to_string(), "f": f_text, "g": g_text}
+    report, lines = _report("bracket", problem)
+    lines += [f"{{{args.name_h},{args.name_k}}} = {value.to_string()}",
+              f"f = {f_text}",
+              f"g = {g_text}"]
+    report |= {"bracket": value.to_string(), "f": f_text, "g": g_text}
     _emit(report, lines, args.json)
     return 0
 
@@ -333,11 +339,9 @@ def _field_command(args, command: str, label: str, build) -> int:
     """Print the field `build(problem, H)` of the map named on the command line."""
     problem = load_problem(args.file)
     X = build(problem, _map_or_error(problem, args.name))
-    lines = [f"polaris {command} {problem.path}",
-             f"{label}[{args.name}] = {X.to_string()}"]
-    report = {"command": command, "file": problem.path,
-              "space": problem.space_kind, "chart": _chart_info(problem),
-              "map": args.name, "components": X.to_string()}
+    report, lines = _report(command, problem)
+    lines.append(f"{label}[{args.name}] = {X.to_string()}")
+    report |= {"map": args.name, "components": X.to_string()}
     _emit(report, lines, args.json)
     return 0
 
@@ -370,28 +374,24 @@ def cmd_verify(args) -> int:
     problem = load_problem(args.file)
     seed = _resolve_seed(args, problem)
     trials = args.trials if args.trials is not None \
-        else problem.tasks.get("trials", 100)
+        else problem.tasks.get("trials", DEFAULT_TRIALS)
     if not 1 <= trials <= MAX_TRIALS:
         raise ProblemError(f"trials must be between 1 and {MAX_TRIALS}")
     results = run_suite(problem.chart, problem.hamiltonians,
                         tensor=problem.tensor, space=problem.space,
                         seed=seed, trials=trials)
     failed = [r for r in results if not r.passed]
-    lines = [f"polaris verify {problem.path}",
-             f"seed: {seed}  trials: {trials}",
-             f"space: {problem.space_kind}  chart: n={problem.chart.n} "
-             f"k={problem.chart.k} dim={problem.chart.dim}"]
+    report, lines = _report("verify", problem)
+    lines += [f"seed: {seed}  trials: {trials}", _space_line(problem)]
     lines.extend(r.line() for r in results)
     verdict = "PASS" if not failed else "FAIL"
     lines.append(f"result: {verdict} ({len(results)} checks, "
                  f"{len(failed)} failed)")
-    report = {"command": "verify", "file": problem.path,
-              "space": problem.space_kind, "chart": _chart_info(problem),
-              "seed": seed, "trials": trials,
-              "checks": [{"name": r.name, "passed": r.passed,
-                          "residual": r.residual, "details": r.details}
-                         for r in results],
-              "passed": not failed}
+    report |= {"seed": seed, "trials": trials,
+               "checks": [{"name": r.name, "passed": r.passed,
+                           "residual": r.residual, "details": r.details}
+                          for r in results],
+               "passed": not failed}
     _emit(report, lines, args.json)
     return 0 if not failed else 1
 
@@ -459,13 +459,11 @@ def cmd_integrate(args) -> int:
         X = _nambu_field(problem, H)
 
     x0_text = "(" + ", ".join(f"{v:.17g}" for v in x0) + ")"
-    lines = [f"polaris integrate {problem.path}",
-             f"map: {args.name}  flow: {args.flow}",
-             f"t0={t0:.17g}  t1={t1:.17g}  h={h:.17g}  x0={x0_text}"]
-    report = {"command": "integrate", "file": problem.path,
-              "space": problem.space_kind, "chart": _chart_info(problem),
-              "map": args.name, "flow": args.flow,
-              "t0": t0, "t1": t1, "h": h, "x0": x0}
+    report, lines = _report("integrate", problem)
+    lines += [f"map: {args.name}  flow: {args.flow}",
+              f"t0={t0:.17g}  t1={t1:.17g}  h={h:.17g}  x0={x0_text}"]
+    report |= {"map": args.name, "flow": args.flow,
+               "t0": t0, "t1": t1, "h": h, "x0": x0}
     try:
         traj = rk4_integrate(X, x0, t0, t1, h)
         drift = conservation_report(H, traj)

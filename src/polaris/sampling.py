@@ -16,6 +16,7 @@ from .hamiltonian import PolarizedForm
 from .poly import Polynomial
 
 DEFAULT_SEED = 42
+DEFAULT_TRIALS = 100
 COEFF_RANGE = (-3, 3)
 
 
@@ -32,26 +33,22 @@ def _monomials(dim: int, indices, max_degree: int):
     return out
 
 
+def _draw(rng: random.Random, chart: Chart, indices, degree: int) -> Polynomial:
+    """One coefficient per monomial over the given variables, in order;
+    the polynomial drops the zero ones."""
+    lo, hi = COEFF_RANGE
+    return Polynomial(chart.dim, {exps: rng.randint(lo, hi)
+                                  for exps in _monomials(chart.dim, indices, degree)})
+
+
 def random_basic(rng: random.Random, chart: Chart, degree: int = 2) -> Polynomial:
     """A random polynomial in the leaf variables only."""
-    lo, hi = COEFF_RANGE
-    terms = {}
-    for exps in _monomials(chart.dim, chart.leaf_indices, degree):
-        coeff = rng.randint(lo, hi)
-        if coeff:
-            terms[exps] = coeff
-    return Polynomial(chart.dim, terms)
+    return _draw(rng, chart, chart.leaf_indices, degree)
 
 
 def random_polynomial(rng: random.Random, chart: Chart, degree: int = 2) -> Polynomial:
     """A random polynomial over all chart variables."""
-    lo, hi = COEFF_RANGE
-    terms = {}
-    for exps in _monomials(chart.dim, range(chart.dim), degree):
-        coeff = rng.randint(lo, hi)
-        if coeff:
-            terms[exps] = coeff
-    return Polynomial(chart.dim, terms)
+    return _draw(rng, chart, range(chart.dim), degree)
 
 
 def random_polarized(rng: random.Random, chart: Chart,

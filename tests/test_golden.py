@@ -26,9 +26,19 @@ no machine path.  To re-record, run in such a directory:
 
 and copy `<case>.integrate.txt` and `<case>.csv` (as
 `<case>.integrate.csv`) into tests/golden/.
+
+The same cases are replayed under every other CPython >= 3.10 that
+starts here, `python3.X` on PATH and each pyenv install, so a change of
+interpreter cannot move a byte of the output.  polaris needs only the
+standard library, so those interpreters need no test packages.
 """
 
+import glob
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +88,91 @@ def test_integrate_output_matches_golden(monkeypatch, capsys, tmp_path, case):
     assert capsys.readouterr().out.encode("ascii") == expected
     expected_csv = (GOLDEN / f"{case}.integrate.csv").read_bytes()
     assert (tmp_path / f"{case}.csv").read_bytes() == expected_csv
+
+
+# run in a child interpreter: each job chdirs, runs `main(argv)` with
+# stdout captured, and the child prints {job: [exit code, stdout]}
+REPLAY = """
+import contextlib, io, json, os, sys
+from polaris.cli import main
+out = {}
+for name, (cwd, argv, _) in json.loads(sys.argv[1]).items():
+    os.chdir(cwd)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out[name] = [code, buf.getvalue()]
+sys.stdout.write(json.dumps(out))
+"""
+
+
+def _probe(exe):
+    """((major, minor, micro), sys.executable) of a CPython that starts,
+    else None; a shim resolves to the interpreter behind it."""
+    probe = ("import sys; print(sys.implementation.name, *sys.version_info[:3],"
+             " sys.executable)")
+    try:
+        done = subprocess.run([exe, "-c", probe], capture_output=True,
+                              text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    words = done.stdout.split(maxsplit=4)
+    if done.returncode or len(words) != 5 or words[0] != "cpython":
+        return None
+    return tuple(int(w) for w in words[1:4]), words[4].strip()
+
+
+def other_pythons():
+    """One executable per CPython version >= 3.10 found, but this one's."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        try:
+            root = subprocess.run([pyenv, "root"], capture_output=True,
+                                  text=True, timeout=30).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            root = ""
+        if root:
+            candidates += sorted(glob.glob(os.path.join(root, "versions", "*",
+                                                        "bin", "python3")))
+    found = {}
+    for probed in map(_probe, filter(None, candidates)):
+        if probed is not None and probed[0] >= (3, 10) \
+                and probed[0] != tuple(sys.version_info[:3]):
+            found.setdefault(*probed)
+    return found
+
+
+def test_golden_outputs_match_under_other_pythons(tmp_path):
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 starts here")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("POLARIS_SEED", "PYTHONPATH", "PYTHONHOME")}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for version, exe in sorted(pythons.items()):
+        # {golden file: (cwd, argv, exit code)}
+        jobs = {f"{stem}.verify.{mode}": (
+                    str(ROOT), ["verify", path, "--trials", "3"]
+                    + (["--json"] if mode == "json" else []), exit_code)
+                for stem, (path, exit_code) in INPUTS.items()
+                for mode in ("txt", "json")}
+        for case, (source, flags) in INTEGRATE_RUNS.items():
+            where = tmp_path / ".".join(map(str, version)) / case
+            where.mkdir(parents=True)
+            name = Path(source).name
+            shutil.copyfile(ROOT / source, where / name)
+            jobs[f"{case}.integrate.txt"] = (
+                str(where), ["integrate", name, "H", *flags, "--out", f"{case}.csv"], 0)
+        done = subprocess.run([exe, "-c", REPLAY, json.dumps(jobs)],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert done.returncode == 0, (exe, done.stderr)
+        outputs = json.loads(done.stdout)
+        for name, (_, _, exit_code) in jobs.items():
+            code, text = outputs[name]
+            assert code == exit_code, (exe, name)
+            assert text.encode("ascii") == (GOLDEN / name).read_bytes(), (exe, name)
+        for case in INTEGRATE_RUNS:
+            csv = Path(jobs[f"{case}.integrate.txt"][0], f"{case}.csv").read_bytes()
+            assert csv == (GOLDEN / f"{case}.integrate.csv").read_bytes(), (exe, case)

@@ -169,6 +169,36 @@ def test_bad_field_is_caught_by_the_duality_check(monkeypatch):
     assert duality.line().startswith("FAIL duality[H] residual=2*q1")
 
 
+def test_checks_bracket_each_pair_once(monkeypatch):
+    # {b,a} is read off {a,b}; Jacobi's own brackets go through
+    # hamiltonian.bracket and are not counted here
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(checks, "bracket", counted)
+    results = checks.run_suite(R3, {"H": H_MAP, "K": K_MAP, "L": L_MAP},
+                               trials=4)
+    assert all(r.passed for r in results)
+    assert len(calls) == 3 + 4  # three named pairs, four random trials
+
+
+def test_a_bracket_that_does_not_close_is_a_failed_check(monkeypatch):
+    x = R3.coordinate("x")
+    monkeypatch.setattr(checks, "bracket",
+                        lambda a, b: RkMap(a.chart, [x * x, x * x]))
+    results = {r.name: r for r in
+               checks.run_suite(R3, {"H": H_MAP, "K": K_MAP}, trials=2)}
+    closure = results["closure[H,K]"]
+    assert not closure.passed
+    assert closure.details.startswith("nonlinear-in-fiber")
+    assert "morphism[H,K]" not in results  # no field of a map that is not polarized
+    assert not results["random.closure"].passed
+    assert results["random.closure"].details == "2 of 2 trials failed"
+
+
 # -- brackets -------------------------------------------------------------------
 
 
@@ -297,6 +327,20 @@ def test_field_map_reverses_bracket_order():
     forward = hamiltonian_field(decompose_polarized(bracket(pf_h, pf_k)))
     assert lhs == -forward
     assert not lhs.is_zero
+
+
+def test_reversed_bracket_is_the_negated_bracket():
+    # checks.py reads {b,a} and X_{b,a} off {a,b}, which needs both
+    # identities to hold exactly, term for term
+    rng = random.Random(31)
+    for chart in (Chart(1, 1), Chart(2, 2), Chart(1, 3)):
+        for _ in range(20):
+            a = random_polarized(rng, chart)
+            b = random_polarized(rng, chart)
+            ab = bracket(a, b)
+            assert bracket(b, a) == -ab
+            assert (hamiltonian_field(decompose_polarized(-ab))
+                    == -hamiltonian_field(decompose_polarized(ab)))
 
 
 def test_field_map_morphism_randomized():

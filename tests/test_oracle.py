@@ -8,8 +8,10 @@ the coefficient kernel is checked against an outside oracle rather than
 against itself.  The 2-form layer is checked the same way: each
 canonical theta^p is written down as a `sympy.Matrix` from its defining
 formula, and the contraction and the theta route of the bracket are
-matched with sympy's matrix products.  sympy is needed by these tests
-only.
+matched with sympy's matrix products.  The coordinate bracket, the
+field X_H and the Lie bracket of fields are rebuilt with sympy's `diff`
+from the formulas in `polaris.hamiltonian`'s docstrings.  sympy is
+needed by these tests only.
 """
 
 from fractions import Fraction
@@ -22,11 +24,18 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, Matrix, Poly, Rational, S, symbols, zeros
 from sympy.polys.rings import ring
 
-from polaris.geometry import Chart, KSymplecticStructure, interior_product
+from polaris.geometry import (
+    Chart,
+    KSymplecticStructure,
+    VectorField,
+    interior_product,
+)
 from polaris.hamiltonian import (
     PolarizedForm,
+    bracket,
     bracket_via_theta,
     hamiltonian_field,
+    lie_bracket,
 )
 from polaris.parsing import parse_polynomial
 from polaris.poly import MAX_EXPONENT, Polynomial
@@ -161,16 +170,22 @@ FORM_CHARTS = tuple(Chart(n, k) for n in range(1, 5) for k in range(1, 8)
                     if n * (k + 1) <= 8)
 
 
-def sympy_theta(chart, p):
-    """theta^p = sum_i dx^{pi} ^ dq^i (1-based p) as its coefficient matrix.
+def fiber(chart, p, i):
+    """The index of fiber variable x^{pi} (1-based p and i): (p-1)n + (i-1)."""
+    return (p - 1) * chart.n + (i - 1)
 
-    Fiber variable p,i sits at index (p-1)n + (i-1) and leaf variable i at
-    kn + (i-1); a wedge dx^a ^ dx^b puts 1 at (a, b) and -1 at (b, a).
-    """
-    n, k = chart.n, chart.k
+
+def leaf(chart, i):
+    """The index of leaf variable q_i (1-based i): kn + (i-1)."""
+    return chart.k * chart.n + (i - 1)
+
+
+def sympy_theta(chart, p):
+    """theta^p = sum_i dx^{pi} ^ dq^i (1-based p) as its coefficient matrix;
+    a wedge dx^a ^ dx^b puts 1 at (a, b) and -1 at (b, a)."""
     theta = zeros(chart.dim, chart.dim)
-    for i in range(1, n + 1):
-        a, b = (p - 1) * n + (i - 1), k * n + (i - 1)
+    for i in range(1, chart.n + 1):
+        a, b = fiber(chart, p, i), leaf(chart, i)
         theta[a, b], theta[b, a] = 1, -1
     return theta
 
@@ -230,3 +245,71 @@ def test_two_form_layer_matches_sympy_matrices(case):
             assert expr_terms(expected[j] + H_p.diff(gens[j]), gens) == {}
         value = (-XH.T * theta * XK)[0, 0]
         assert dict(via_theta[p - 1].terms) == expr_terms(value, gens)
+
+
+# -- brackets and fields, from the docstring formulas -------------------------
+
+
+def sympy_poly(poly, gens):
+    return Poly(to_expr(poly, gens), *gens, domain=QQ)
+
+
+def same_terms(poly, expected, gens):
+    return dict(poly.terms) == expr_terms(expected, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polarized_pair())
+def test_coordinate_bracket_matches_sympy(case):
+    # {H,K}^p = sum_s (dH^p/dq_s dK^p/dx^{ps} - dH^p/dx^{ps} dK^p/dq_s)
+    chart, (H, K) = case
+    gens = symbols(f"v0:{chart.dim}")
+    value = bracket(H, K)
+    for p in range(1, chart.k + 1):
+        H_p = sympy_poly(H.to_map()[p - 1], gens)
+        K_p = sympy_poly(K.to_map()[p - 1], gens)
+        expected = Poly(0, *gens, domain=QQ)
+        for s in range(1, chart.n + 1):
+            q, x = gens[leaf(chart, s)], gens[fiber(chart, p, s)]
+            expected += H_p.diff(q) * K_p.diff(x) - H_p.diff(x) * K_p.diff(q)
+        assert same_terms(value[p - 1], expected, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polarized_pair())
+def test_hamiltonian_field_matches_sympy(case):
+    # X_H = -sum_{p,s} dH^p/dq_s d/dx^{ps} + sum_s f_s d/dq_s, with f_s read
+    # off as the coefficient dH^1/dx^{1s}
+    chart, (H, _) = case
+    gens = symbols(f"v0:{chart.dim}")
+    comps = [sympy_poly(c, gens) for c in H.to_map()]
+    expected = [Poly(0, *gens, domain=QQ)] * chart.dim
+    for s in range(1, chart.n + 1):
+        q = gens[leaf(chart, s)]
+        for p in range(1, chart.k + 1):
+            expected[fiber(chart, p, s)] = -comps[p - 1].diff(q)
+        expected[leaf(chart, s)] = comps[0].diff(gens[fiber(chart, 1, s)])
+    X = hamiltonian_field(H)
+    for i in range(chart.dim):
+        assert same_terms(X.component(i), expected[i], gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polarized_pair(), st.data())
+def test_lie_bracket_matches_sympy(case, data):
+    # [X,Y]^j = sum_i (X^i dY^j/dx^i - Y^i dX^j/dx^i), on a hamiltonian
+    # field and on an arbitrary one
+    chart, (H, _) = case
+    gens = symbols(f"v0:{chart.dim}")
+    X = hamiltonian_field(H)
+    indices = data.draw(st.sets(st.integers(0, chart.dim - 1), max_size=3))
+    Y = VectorField(chart, {i: data.draw(polynomials(chart.dim, st.integers(0, 2)))
+                            for i in sorted(indices)})
+    xs = [sympy_poly(X.component(i), gens) for i in range(chart.dim)]
+    ys = [sympy_poly(Y.component(i), gens) for i in range(chart.dim)]
+    value = lie_bracket(X, Y)
+    for j in range(chart.dim):
+        expected = Poly(0, *gens, domain=QQ)
+        for i, g in enumerate(gens):
+            expected += xs[i] * ys[j].diff(g) - ys[i] * xs[j].diff(g)
+        assert same_terms(value.component(j), expected, gens)
