@@ -10,8 +10,9 @@ canonical theta^p is written down as a `sympy.Matrix` from its defining
 formula, and the contraction and the theta route of the bracket are
 matched with sympy's matrix products.  The coordinate bracket, the
 field X_H and the Lie bracket of fields are rebuilt with sympy's `diff`
-from the formulas in `polaris.hamiltonian`'s docstrings.  sympy is
-needed by these tests only.
+from the formulas in `polaris.hamiltonian`'s docstrings, and both Nambu
+fields and the ternary bracket with `sympy.Matrix.det` from those in
+`polaris.nambu`'s.  sympy is needed by these tests only.
 """
 
 from fractions import Fraction
@@ -27,6 +28,7 @@ from sympy.polys.rings import ring
 from polaris.geometry import (
     Chart,
     KSymplecticStructure,
+    RkMap,
     VectorField,
     interior_product,
 )
@@ -36,6 +38,13 @@ from polaris.hamiltonian import (
     bracket_via_theta,
     hamiltonian_field,
     lie_bracket,
+)
+from polaris.nambu import (
+    NambuSpaceR3n,
+    NambuSpaceRk1,
+    nambu_bracket_r3n,
+    nambu_field_r3n,
+    nambu_field_rk1,
 )
 from polaris.parsing import parse_polynomial
 from polaris.poly import MAX_EXPONENT, Polynomial
@@ -52,9 +61,9 @@ coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 HALF_CAP = st.one_of(st.just(MAX_EXPONENT // 2), st.integers(0, MAX_EXPONENT // 2))
 
 
-def polynomials(dim, exponents=st.integers(0, 3)):
+def polynomials(dim, exponents=st.integers(0, 3), terms=6):
     monomials = st.tuples(*[exponents] * dim)
-    return st.dictionaries(monomials, coefficients, max_size=6).map(
+    return st.dictionaries(monomials, coefficients, max_size=terms).map(
         lambda terms: Polynomial(dim, terms))
 
 
@@ -313,3 +322,68 @@ def test_lie_bracket_matches_sympy(case, data):
         for i, g in enumerate(gens):
             expected += xs[i] * ys[j].diff(g) - ys[i] * xs[j].diff(g)
         assert same_terms(value.component(j), expected, gens)
+
+
+# -- Nambu fields and the ternary bracket, from the docstring formulas ---------
+
+NAMBU_RK1 = tuple(NambuSpaceRk1(k) for k in (2, 3, 4))
+NAMBU_R3N = tuple(NambuSpaceR3n(n) for n in (1, 2))
+
+
+def small(chart):
+    """Few terms: sympy expands a determinant of dense entries slowly."""
+    return polynomials(chart.dim, st.integers(0, 2), 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(NAMBU_RK1), st.data())
+def test_nambu_field_rk1_matches_sympy(space, data):
+    # with coordinates x^1..x^k, z, component j is (-1)^(j-1) times the
+    # minor of the k x (k+1) gradient matrix (dH^m/dx^i) without column j
+    chart = space.chart
+    gens = symbols(f"v0:{chart.dim}")
+    H = RkMap(chart, [data.draw(small(chart)) for _ in range(space.k)])
+    coords = [gens[space.coordinate_index(i)] for i in range(1, space.dim + 1)]
+    grads = Matrix([[to_expr(comp, gens).diff(c) for c in coords] for comp in H])
+    X = nambu_field_rk1(H, space)
+    for j in range(1, space.dim + 1):
+        minor = grads[:, [c for c in range(space.dim) if c != j - 1]].det(
+            method="berkowitz")
+        assert same_terms(X.component(space.coordinate_index(j)),
+                          (-1) ** (j - 1) * minor, gens)
+
+
+def sympy_jacobian(exprs, variables):
+    """D(exprs)/D(variables) as sympy's determinant of the Jacobian matrix."""
+    return Matrix([[e.diff(v) for v in variables] for e in exprs]).det(
+        method="berkowitz")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(NAMBU_R3N), st.data())
+def test_nambu_field_r3n_matches_sympy(space, data):
+    # per triple: dx/dt = D(H1,H2)/D(y,z), dy/dt = D(H1,H2)/D(z,x) and
+    # dz/dt = D(H1,H2)/D(x,y)
+    chart = space.chart
+    gens = symbols(f"v0:{chart.dim}")
+    H1, H2 = (data.draw(small(chart)) for _ in range(2))
+    hs = [to_expr(H1, gens), to_expr(H2, gens)]
+    X = nambu_field_r3n(H1, H2, space)
+    for i in range(1, space.n + 1):
+        ix, iy, iz = space.triple_indices(i)
+        x, y, z = gens[ix], gens[iy], gens[iz]
+        for idx, (u, v) in ((ix, (y, z)), (iy, (z, x)), (iz, (x, y))):
+            assert same_terms(X.component(idx), sympy_jacobian(hs, (u, v)), gens)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(NAMBU_R3N), st.data())
+def test_nambu_bracket_r3n_matches_sympy(space, data):
+    # {f,H1,H2} = sum_i D(f,H1,H2)/D(x^i,y^i,z^i)
+    chart = space.chart
+    gens = symbols(f"v0:{chart.dim}")
+    polys = [data.draw(small(chart)) for _ in range(3)]
+    exprs = [to_expr(poly, gens) for poly in polys]
+    expected = sum((sympy_jacobian(exprs, [gens[c] for c in space.triple_indices(i)])
+                    for i in range(1, space.n + 1)), S.Zero)
+    assert same_terms(nambu_bracket_r3n(*polys, space), expected, gens)
