@@ -23,7 +23,6 @@ from .geometry import (
     RkMap,
     VectorField,
     check_ksymplectic,
-    differential,
     interior_product,
     xi_pairing,
 )
@@ -167,7 +166,7 @@ def map_checks(name: str, H: RkMap, tensor: GeneralPoissonTensor,
         return [CheckResult(f"polarized[{name}]", False, "-", str(exc))], None
     chart = H.chart
     X = hamiltonian_field(pf)
-    dH = differential(pf.to_map())
+    dH = pf.differential()
     rows = [interior_product(X, structure.theta(p)) for p in range(chart.k)]
     results = [
         CheckResult(f"polarized[{name}]", True, "0",
@@ -188,8 +187,7 @@ def routes_check(label: str, a: PolarizedForm, b: PolarizedForm, ab: RkMap,
                  tensor: GeneralPoissonTensor) -> CheckResult:
     """Coordinate bracket ab = {a,b} vs 2-form contraction vs Poisson tensor."""
     theta_route = bracket_via_theta(a, b)
-    poisson_route = tensor.apply(differential(a.to_map()),
-                                 differential(b.to_map()))
+    poisson_route = tensor.apply(a.differential(), b.differential())
     delta_theta = ab - theta_route
     delta_poisson = ab - poisson_route
     if not delta_theta.is_zero:
@@ -223,7 +221,7 @@ def morphism_check(label: str, a: PolarizedForm, b: PolarizedForm,
 def pairing_bracket_check(label: str, a: PolarizedForm, b: PolarizedForm,
                           ab: RkMap) -> CheckResult:
     """<dK, X_H> = {K,H}, checked as <dK, X_H> + {H,K} = 0; ab = {a,b}."""
-    delta = xi_pairing(differential(b.to_map()), hamiltonian_field(a)) + ab
+    delta = xi_pairing(b.differential(), hamiltonian_field(a)) + ab
     return CheckResult(f"pairing-bracket[{label}]", delta.is_zero, delta.to_string())
 
 

@@ -34,6 +34,7 @@ from .geometry import (
     RkMap,
     TwoForm,
     VectorField,
+    differential,
     interior_product,
     is_basic,
 )
@@ -60,9 +61,11 @@ class PolarizedForm:
 
     `H`, when given, is the map sum_j f_j x^{pj} + g^p itself, which the
     caller has already split into `f` and `g`; otherwise it is built.
+    The form owns that map's differential: X_H, the coordinate bracket and
+    the checks all read the one grid `differential()` takes on first use.
     """
 
-    __slots__ = ("chart", "f", "g", "_map")
+    __slots__ = ("chart", "f", "g", "_map", "_dH")
 
     def __init__(self, chart: Chart, f: Iterable[Polynomial],
                  g: Iterable[Polynomial], H: RkMap | None = None):
@@ -89,10 +92,17 @@ class PolarizedForm:
                 f[j - 1] * Polynomial.variable(chart.dim, chart.fiber_index(p, j))
                 for j in range(1, chart.n + 1)])
             for p in range(1, chart.k + 1)])
+        self._dH = None
 
     def to_map(self) -> RkMap:
         """H^p = sum_j f_j x^{pj} + g^p, held since construction."""
         return self._map
+
+    def differential(self) -> OneFormRk:
+        """dH^p = sum_j (dH^p/dx^j) dx^j, taken on first use and then held."""
+        if self._dH is None:
+            self._dH = differential(self._map)
+        return self._dH
 
     def __eq__(self, other):
         if not isinstance(other, PolarizedForm):
@@ -151,25 +161,24 @@ def hamiltonian_field(pf: PolarizedForm) -> VectorField:
     compares i(X_H)theta^p with -dH^p for every map it verifies.
     """
     chart = pf.chart
-    H = pf.to_map()
+    dH = pf.differential()
     comps: dict[int, Polynomial] = {}
     for p in range(1, chart.k + 1):
         for s in range(1, chart.n + 1):
-            comps[chart.fiber_index(p, s)] = -H[p - 1].partial(chart.leaf_index(s))
+            comps[chart.fiber_index(p, s)] = -dH.entry(p - 1, chart.leaf_index(s))
     for s in range(1, chart.n + 1):
         comps[chart.leaf_index(s)] = pf.f[s - 1]
     return VectorField(chart, comps)
 
 
-def _coordinate_component(A: Polynomial, B: Polynomial, chart: Chart,
-                          p: int) -> Polynomial:
-    """sum_s (dA/dx^s dB/dx^{ps} - dA/dx^{ps} dB/dx^s) for 1-based p."""
-    # generators, so that one pair of partials at a time is alive beside
-    # the accumulated products
+def _coordinate_component(dA: Sequence[Polynomial], dB: Sequence[Polynomial],
+                          chart: Chart, p: int) -> Polynomial:
+    """sum_s (dA/dx^s dB/dx^{ps} - dA/dx^{ps} dB/dx^s) for 1-based p, given
+    the rows of partials dA[j] = dA/dx^j and dB[j] = dB/dx^j."""
     pairs = list(zip(chart.leaf_indices, chart.fiber_block(p)))
     return Polynomial.dot(chart.dim, chain(
-        ((A.partial(leaf), B.partial(fib)) for leaf, fib in pairs),
-        ((A.partial(fib), -B.partial(leaf)) for leaf, fib in pairs)))
+        ((dA[leaf], dB[fib]) for leaf, fib in pairs),
+        ((dA[fib], -dB[leaf]) for leaf, fib in pairs)))
 
 
 def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
@@ -180,29 +189,19 @@ def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
     if H.chart != K.chart:
         raise ValueError("chart mismatch")
     chart = H.chart
-    Hm, Km = H.to_map(), K.to_map()
-    return RkMap(chart, [_coordinate_component(Hm[p - 1], Km[p - 1], chart, p)
+    dH, dK = H.differential().comps, K.differential().comps
+    return RkMap(chart, [_coordinate_component(dH[p - 1], dK[p - 1], chart, p)
                          for p in range(1, chart.k + 1)])
 
 
 def theta_pairing(theta: TwoForm, X: VectorField,
                   Y: VectorField) -> Polynomial:
-    """theta(X, Y) = sum_{ij} theta[i,j] X^i Y^j with polynomial entries.
-
-    Each pair c dx^i ^ dx^j contributes c X^i Y^j - c X^j Y^i.
-    """
+    """theta(X, Y) = sum_{ij} theta[i,j] X^i Y^j with polynomial entries:
+    the row i(X)theta paired with Y."""
     if X.chart != Y.chart:
         raise ValueError("chart mismatch")
-    if theta.dim != X.chart.dim:
-        raise ValueError("form dimension does not match the chart")
-    xs, ys = dict(X.components()), dict(Y.components())
-    products = []
-    for i, j, c in theta.pairs:
-        if i in xs and j in ys:
-            products.append((xs[i] * c, ys[j]))
-        if j in xs and i in ys:
-            products.append((xs[j] * -c, ys[i]))
-    return Polynomial.dot(X.chart.dim, products)
+    row = interior_product(X, theta)
+    return Polynomial.dot(X.chart.dim, ((row[j], y) for j, y in Y.components()))
 
 
 def bracket_via_theta(H: PolarizedForm, K: PolarizedForm) -> RkMap:
@@ -378,7 +377,8 @@ def classical_bracket(H: Polynomial, K: Polynomial, chart: Chart) -> Polynomial:
     _require_k1(chart)
     if H.dim != chart.dim or K.dim != chart.dim:
         raise ValueError("polynomial dimension does not match the chart")
-    return _coordinate_component(H, K, chart, 1)
+    return _coordinate_component(differential(RkMap(chart, [H])).comps[0],
+                                 differential(RkMap(chart, [K])).comps[0], chart, 1)
 
 
 # -- identity checks ---------------------------------------------------------

@@ -199,6 +199,41 @@ def test_a_bracket_that_does_not_close_is_a_failed_check(monkeypatch):
     assert results["random.closure"].details == "2 of 2 trials failed"
 
 
+def test_field_and_bracket_read_the_held_differential(monkeypatch):
+    rng = random.Random(3)
+    a, b = (random_polarized(rng, Chart(2, 3)) for _ in range(2))
+    assert a.differential() == differential(a.to_map())
+    assert a.differential() is a.differential()
+    b.differential()
+    calls = []
+    partial = Polynomial.partial
+    monkeypatch.setattr(Polynomial, "partial",
+                        lambda self, var: calls.append(var) or partial(self, var))
+    hamiltonian_field(a)
+    bracket(a, b)
+    assert calls == []
+
+
+def test_run_suite_differentiates_each_form_once(monkeypatch):
+    # every module that holds geometry.differential counts through it; the
+    # differentiated maps stay referenced, so their ids stay distinct
+    from polaris import geometry, hamiltonian
+    original, seen = geometry.differential, []
+
+    def counted(H):
+        seen.append(H)
+        return original(H)
+
+    for module in (geometry, hamiltonian, checks):
+        if getattr(module, "differential", None) is original:
+            monkeypatch.setattr(module, "differential", counted)
+    results = checks.run_suite(R3, {"H": H_MAP, "K": K_MAP, "L": L_MAP},
+                               space=NambuSpaceRk1(2), trials=3)
+    assert all(r.passed for r in results)
+    assert seen
+    assert len({id(H) for H in seen}) == len(seen)
+
+
 # -- brackets -------------------------------------------------------------------
 
 
