@@ -216,12 +216,6 @@ class VectorField:
         return Polynomial.dot(self.chart.dim, ((comp, poly.partial(idx))
                                                for idx, comp in self.components()))
 
-    def restrict(self, indices: Iterable[int]) -> "VectorField":
-        """Keep only the named component slots."""
-        keep = set(indices)
-        return VectorField(self.chart,
-                           {i: c for i, c in self._comps.items() if i in keep})
-
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_same_chart(self, other)
         return VectorField(self.chart, {

@@ -213,7 +213,7 @@ def verify_relation_r3n(pf: PolarizedForm, space: NambuSpaceR3n) -> RelationRepo
     H = pf.to_map()
     lhs = nambu_field_r3n(H[0], H[1], space)
     X = hamiltonian_field(pf)
-    rhs = VectorField.zero(space.chart)
-    for i in range(1, space.n + 1):
-        rhs = rhs + X.restrict(space.triple_indices(i)) * pf.f[i - 1]
+    rhs = VectorField(space.chart, {idx: X.component(idx) * f
+                                    for i, f in enumerate(pf.f, start=1)
+                                    for idx in space.triple_indices(i)})
     return RelationReport(lhs == rhs, lhs, rhs)

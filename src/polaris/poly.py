@@ -140,7 +140,7 @@ def _canonical(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 class Polynomial:
     """Immutable sparse polynomial over `dim` variables."""
 
-    __slots__ = ("dim", "_num", "_den", "_hash", "_float")
+    __slots__ = ("dim", "_num", "_den", "_hash")
 
     def __init__(self, dim: int, terms: Mapping[tuple[int, ...], Coefficient] = ()):
         if dim < 1:
@@ -163,7 +163,6 @@ class Polynomial:
         self._num, self._den = _canonical(
             {m: p * (den // q) for m, (p, q) in ratios.items()}, den)
         self._hash = None
-        self._float = None
 
     # -- constructors ---------------------------------------------------
 
@@ -175,7 +174,6 @@ class Polynomial:
         self.dim = dim
         self._num, self._den = _canonical(num, den)
         self._hash = None
-        self._float = None
         return self
 
     @classmethod
@@ -413,13 +411,12 @@ class Polynomial:
         return Polynomial._make(self.dim, num, self._den)
 
     def evaluate(self, point: Sequence[float]) -> float:
-        """Float64 value at `point`, summed in canonical term order."""
+        """Float64 value at `point`, summed in canonical term order, by a
+        `float_evaluator` compiled for this one call."""
         if len(point) != self.dim:
             raise ValueError(
                 f"point length {len(point)} does not match dim {self.dim}")
-        if self._float is None:
-            self._float = float_evaluator([self])
-        return self._float(point)[0]
+        return float_evaluator([self])(point)[0]
 
     __call__ = evaluate
 

@@ -199,6 +199,18 @@ def test_a_bracket_that_does_not_close_is_a_failed_check(monkeypatch):
     assert results["random.closure"].details == "2 of 2 trials failed"
 
 
+def test_random_checks_count_only_the_trials_they_ran(monkeypatch):
+    # no bracket closes, so no trial reaches the checks after closure
+    x = R3.coordinate("x")
+    monkeypatch.setattr(checks, "bracket",
+                        lambda a, b: RkMap(a.chart, [x * x, x * x]))
+    lines = {r.name: r.line() for r in checks.run_suite(R3, {"H": H_MAP}, trials=2)}
+    assert lines["random.routes"].endswith("(2 of 2 trials failed)")
+    assert lines["random.closure"].endswith("(2 of 2 trials failed)")
+    for name in ("random.morphism", "random.jacobi", "random.basic-module"):
+        assert lines[name] == f"PASS {name} residual=0 (trials=0)"
+
+
 def test_field_and_bracket_read_the_held_differential(monkeypatch):
     rng = random.Random(3)
     a, b = (random_polarized(rng, Chart(2, 3)) for _ in range(2))
