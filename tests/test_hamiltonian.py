@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polaris import checks
+from polaris import checks, geometry, hamiltonian
 from polaris.geometry import (
     Chart,
     KSymplecticStructure,
@@ -229,7 +229,6 @@ def test_field_and_bracket_read_the_held_differential(monkeypatch):
 def test_run_suite_differentiates_each_form_once(monkeypatch):
     # every module that holds geometry.differential counts through it; the
     # differentiated maps stay referenced, so their ids stay distinct
-    from polaris import geometry, hamiltonian
     original, seen = geometry.differential, []
 
     def counted(H):
