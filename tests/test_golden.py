@@ -4,7 +4,10 @@ The expected stdout lives under tests/golden/, one text and one --json
 file per input, all run with `--trials 3` and the file's seed.  The
 inputs cover the passing demo, the demo with a perturbed Poisson tensor
 (failing checks and their residual texts), a three-map nambu_r3n file
-with n = 2 (triples, z-rate and first integrals), and two dense
+with n = 2 (triples, z-rate and first integrals), a nambu_r3n file with
+n = 1 (`r3n_n1`: two polarized maps and one quadratic in x, so it exits
+1 and runs the rk1-r3n consistency line), a nambu_rk1 file with k = 3
+(`rk1_k3`: the odd-k sign of the z-component), and two dense
 canonical (3,3) files with three maps each (`k3_dense`, and
 `k3_perturbed`, whose perturbed tensor prints long bracket residuals).  Any change to a
 check's name, order, residual or details shows up here.
@@ -53,7 +56,9 @@ INPUTS = {
     "demo_perturbed": ("tests/golden/demo_perturbed.json", 1),
     "k3_dense": ("tests/golden/k3_dense.json", 0),
     "k3_perturbed": ("tests/golden/k3_perturbed.json", 1),
+    "r3n_n1": ("tests/golden/r3n_n1.json", 1),
     "r3n_n2": ("tests/golden/r3n_n2.json", 0),
+    "rk1_k3": ("tests/golden/rk1_k3.json", 0),
 }
 
 
