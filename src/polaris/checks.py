@@ -318,10 +318,39 @@ def classical_checks(chart: Chart, seed: int, trials: int) -> list[CheckResult]:
 # -- Nambu relations ------------------------------------------------------------
 
 
+def _first_nonzero(name: str, chart: Chart, polys) -> CheckResult:
+    """Passes when every poly is zero; else reports the first nonzero one."""
+    witness = next((poly for poly in polys if not poly.is_zero), None)
+    return CheckResult(name, witness is None, "0" if witness is None
+                       else witness.to_string(chart.var_names))
+
+
+def _relation_checks(kind: str, rate: str, verify,
+                     space: NambuSpaceRk1 | NambuSpaceR3n,
+                     polarized: Mapping[str, PolarizedForm]) -> list[CheckResult]:
+    """`verify(pf, space)` on each named form, and the rate of the Nambu
+    field along each q_i, which is (-1)^k f_i^k."""
+    out = []
+    chart = space.chart
+    k = chart.k
+    for name, pf in polarized.items():
+        report = verify(pf, space)
+        out.append(CheckResult(f"nambu.relation-{kind}[{name}]", report.passed,
+                               report.residual_text()))
+        out.append(_first_nonzero(f"nambu.{rate}[{name}]", chart, (
+            report.lhs.component(chart.leaf_index(i)) - (-f ** k if k % 2 else f ** k)
+            for i, f in enumerate(pf.f, start=1))))
+    return out
+
+
 def _random_relation(name: str, verify, space: NambuSpaceRk1 | NambuSpaceR3n,
-                     seed: int, trials: int, degree: int = 2) -> CheckResult:
-    """`verify(pf, space)` over seeded random polarized maps on the space,
-    with f and g of at most `degree`."""
+                     seed: int, trials: int) -> CheckResult:
+    """`verify(pf, space)` over seeded random polarized maps on the space."""
+    # the q_i-rate is +-f_i^k, so f of degree above MAX_EXPONENT // k would
+    # break the exponent cap; for k > MAX_EXPONENT that leaves constant maps
+    # and the check passes trivially
+    degree = min(2, MAX_EXPONENT // space.chart.k)
+
     def trial(rng):
         report = verify(random_polarized(rng, space.chart, degree), space)
         yield name, report.passed, None if report.passed else report.residual_text()
@@ -332,49 +361,23 @@ def _random_relation(name: str, verify, space: NambuSpaceRk1 | NambuSpaceR3n,
 def nambu_rk1_checks(space: NambuSpaceRk1,
                      polarized: Mapping[str, PolarizedForm],
                      seed: int, trials: int) -> list[CheckResult]:
-    out = []
-    k = space.k
-    for name, pf in polarized.items():
-        report = verify_relation_rk1(pf, space)
-        out.append(CheckResult(f"nambu.relation-rk1[{name}]", report.passed,
-                               report.residual_text()))
-        z_comp = report.lhs.component(space.coordinate_index(k + 1))
-        expected = pf.f[0] ** k
-        if k % 2:
-            expected = -expected
-        delta = z_comp - expected
-        out.append(CheckResult(f"nambu.z-component[{name}]", delta.is_zero,
-                               delta.to_string(space.chart.var_names)))
-    # the z-component is +-f^k, so f of degree above MAX_EXPONENT // k would
-    # break the exponent cap; for k > MAX_EXPONENT that leaves constant maps
-    # and the check passes trivially
+    out = _relation_checks("rk1", "z-component", verify_relation_rk1,
+                           space, polarized)
     out.append(_random_relation("nambu.random-relation-rk1", verify_relation_rk1,
-                                space, seed, trials, min(2, MAX_EXPONENT // k)))
+                                space, seed, trials))
     return out
 
 
 def nambu_r3n_checks(space: NambuSpaceR3n, named: Mapping[str, RkMap],
                      polarized: Mapping[str, PolarizedForm],
                      seed: int, trials: int) -> list[CheckResult]:
-    out = []
-    chart = space.chart
-
-    def first_nonzero(name: str, polys) -> CheckResult:
-        witness = next((poly for poly in polys if not poly.is_zero), None)
-        return CheckResult(name, witness is None, "0" if witness is None
-                           else witness.to_string(chart.var_names))
-
-    for name, H in named.items():
-        out.append(first_nonzero(f"nambu.first-integrals[{name}]", (
-            nambu_bracket_r3n(comp, H[0], H[1], space) for comp in H.comps)))
-    for name, pf in polarized.items():
-        report = verify_relation_r3n(pf, space)
-        out.append(CheckResult(f"nambu.relation-r3n[{name}]", report.passed,
-                               report.residual_text()))
-        out.append(first_nonzero(f"nambu.z-rate[{name}]", (
-            report.lhs.component(space.triple_indices(i)[2]) - f * f
-            for i, f in enumerate(pf.f, start=1))))
+    out = [_first_nonzero(f"nambu.first-integrals[{name}]", space.chart, (
+        nambu_bracket_r3n(comp, H[0], H[1], space) for comp in H.comps))
+           for name, H in named.items()]
+    out.extend(_relation_checks("r3n", "z-rate", verify_relation_r3n,
+                                space, polarized))
     if space.n == 1:
+        # one routine makes both fields, so this checks the block layout only
         twin = NambuSpaceRk1(2)
         failures = [name for name, H in named.items()
                     if nambu_field_r3n(H[0], H[1], space).components()

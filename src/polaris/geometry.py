@@ -440,7 +440,7 @@ class StructureReport:
     joint_kernel: tuple[tuple[Fraction, ...], ...]
     vertical_violations: tuple[tuple[int, int, int, Fraction], ...]
 
-    def summary(self, chart: Chart | None = None) -> str:
+    def summary(self, chart: Chart) -> str:
         if self.passed:
             return "nondegenerate: joint characteristic space is trivial"
         parts = []
@@ -449,9 +449,8 @@ class StructureReport:
                          f"{len(self.joint_kernel)}")
         if self.vertical_violations:
             p, i, j, value = self.vertical_violations[0]
-            where = (f"theta^{p + 1}({chart.var_name(i)},{chart.var_name(j)})"
-                     if chart else f"theta^{p + 1}[{i},{j}]")
-            parts.append(f"{where} = {value} on vertical directions")
+            parts.append(f"theta^{p + 1}({chart.var_name(i)},{chart.var_name(j)})"
+                         f" = {value} on vertical directions")
         return "; ".join(parts)
 
 

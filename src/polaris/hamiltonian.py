@@ -348,16 +348,8 @@ def zeta(X: VectorField,
 
 
 def zeta_inverse(omega: Sequence[Polynomial],
-                 structure: KSymplecticStructure | None = None) -> VectorField:
+                 structure: KSymplecticStructure) -> VectorField:
     """Solve i(X)theta = omega exactly for the constant invertible form."""
-    if not omega:
-        raise ValueError("empty one-form")
-    dim = omega[0].dim
-    if structure is None:
-        n2, rem = divmod(dim, 2)
-        if rem:
-            raise ValueError("one-form length is not even")
-        structure = KSymplecticStructure.canonical(Chart(n2, 1))
     chart = structure.chart
     _require_k1(chart)
     if len(omega) != chart.dim:

@@ -1,19 +1,18 @@
 """Nambu dynamics on the two canonical model spaces.
 
-Both Nambu fields are signed maximal minors of a gradient matrix, all
-taken by the one determinant routine `det`.  R^(k+1) with coordinates
-(x^1..x^k, z) carries the k canonical forms dx^p ^ dz; the Nambu field
-of a map H into R^k has as component j the minor of the k x (k+1)
-gradient matrix of H^1..H^k without column j, times (-1)^(j-1): the
-Levi-Civita contraction of its rows.  R^(3n) with coordinates
-(x^i, y^i, z^i) carries the two forms sum dx^i ^ dz^i and
-sum dy^i ^ dz^i; the Nambu field of a pair (H^1, H^2) takes per
-coordinate triple the three signed 2x2 minors of the 2x3 gradient
-block, and the ternary bracket sums 3x3 Jacobian determinants.
+Both spaces are canonical charts cut into blocks (x^{1i}, ..., x^{ki}, q_i):
+R^(k+1), with coordinates (x^1..x^k, z), is the one block of the n = 1
+chart and carries the k canonical forms dx^p ^ dz; R^(3n), with triples
+(x^i, y^i, z^i), is the n blocks of the k = 2 chart and carries
+sum dx^i ^ dz^i and sum dy^i ^ dz^i.  On either space the Nambu field of
+a map H into R^k takes, per block, the signed maximal minors of the
+k x (k+1) rows of dH on that block, all by the one determinant routine
+`det`: on R^(k+1) the Levi-Civita contraction of the gradient rows, on
+R^(3n) the three 2x2 Jacobian minors per triple.  The ternary bracket
+{f, H1, H2} is f differentiated along the field of (H1, H2).
 
-Both spaces are thin relabelings of canonical charts (n = 1 for the
-first, k = 2 for the second), so every polarized-map operation applies
-unchanged.
+Both spaces are thin relabelings of canonical charts, so every
+polarized-map operation applies unchanged.
 """
 
 from __future__ import annotations
@@ -21,9 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Chart, RkMap, VectorField
+from .geometry import Chart, OneFormRk, RkMap, VectorField, differential
 from .hamiltonian import PolarizedForm, hamiltonian_field
 from .poly import Polynomial
+
+
+def _block(chart: Chart, i: int) -> tuple[int, ...]:
+    """Chart indices of (x^{1i}, ..., x^{ki}, q_i), 1-based i."""
+    return tuple(chart.fiber_index(p, i)
+                 for p in range(1, chart.k + 1)) + (chart.leaf_index(i),)
 
 
 class NambuSpaceRk1:
@@ -51,9 +56,7 @@ class NambuSpaceRk1:
         """Chart index of coordinate i in the 1-based order x^1..x^k, z."""
         if not 1 <= i <= self.k + 1:
             raise ValueError(f"coordinate {i} out of range")
-        if i <= self.k:
-            return self.chart.fiber_index(i, 1)
-        return self.chart.leaf_index(1)
+        return _block(self.chart, 1)[i - 1]
 
 
 class NambuSpaceR3n:
@@ -81,9 +84,7 @@ class NambuSpaceR3n:
 
     def triple_indices(self, i: int) -> tuple[int, int, int]:
         """Chart indices of (x^i, y^i, z^i), 1-based i."""
-        chart = self.chart
-        return (chart.fiber_index(1, i), chart.fiber_index(2, i),
-                chart.leaf_index(i))
+        return _block(self.chart, i)
 
 
 def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -131,6 +132,18 @@ def jacobian_det(fs: Sequence[Polynomial], variables: Sequence[int]) -> Polynomi
     return det([[f.partial(v) for v in variables] for f in fs])
 
 
+def _field(dH: OneFormRk) -> VectorField:
+    """The Nambu field of dH: on each block, the signed maximal minors of
+    the k x (k+1) rows of dH restricted to that block."""
+    chart = dH.chart
+    comps = {}
+    for i in range(1, chart.n + 1):
+        block = _block(chart, i)
+        comps.update(zip(block, _signed_minors(
+            [[row[c] for c in block] for row in dH.comps])))
+    return VectorField(chart, comps)
+
+
 def nambu_field_rk1(H: RkMap, space: NambuSpaceRk1) -> VectorField:
     """Levi-Civita contraction field on R^(k+1): with coordinates ordered
     x^1..x^k, z, component j is (-1)^(j-1) times the minor of the k x (k+1)
@@ -138,9 +151,7 @@ def nambu_field_rk1(H: RkMap, space: NambuSpaceRk1) -> VectorField:
     """
     if H.chart != space.chart:
         raise ValueError("map does not live on this space")
-    coords = [space.coordinate_index(i) for i in range(1, space.dim + 1)]
-    grads = [[H[m].partial(c) for c in coords] for m in range(space.k)]
-    return VectorField(space.chart, dict(zip(coords, _signed_minors(grads))))
+    return _field(differential(H))
 
 
 def nambu_field_r3n(H1: Polynomial, H2: Polynomial,
@@ -157,24 +168,14 @@ def nambu_field_r3n(H1: Polynomial, H2: Polynomial,
     chart = space.chart
     if H1.dim != chart.dim or H2.dim != chart.dim:
         raise ValueError("polynomial dimension does not match the space")
-    comps = {}
-    for i in range(1, space.n + 1):
-        triple = space.triple_indices(i)
-        block = [[H.partial(c) for c in triple] for H in (H1, H2)]
-        comps.update(zip(triple, _signed_minors(block)))
-    return VectorField(chart, comps)
+    return _field(differential(RkMap(chart, [H1, H2])))
 
 
 def nambu_bracket_r3n(f: Polynomial, H1: Polynomial, H2: Polynomial,
                       space: NambuSpaceR3n) -> Polynomial:
-    """The ternary bracket sum_i D(f,H1,H2)/D(x^i,y^i,z^i)."""
-    chart = space.chart
-    for poly in (f, H1, H2):
-        if poly.dim != chart.dim:
-            raise ValueError("polynomial dimension does not match the space")
-    return Polynomial.sum(chart.dim,
-                          (jacobian_det([f, H1, H2], space.triple_indices(i))
-                           for i in range(1, space.n + 1)))
+    """The ternary bracket sum_i D(f,H1,H2)/D(x^i,y^i,z^i): f differentiated
+    along the field of (H1, H2), each determinant expanded along f's row."""
+    return nambu_field_r3n(H1, H2, space).apply_to(f)
 
 
 @dataclass(frozen=True)
@@ -192,28 +193,30 @@ class RelationReport:
         return self.residual.to_string()
 
 
-def verify_relation_rk1(pf: PolarizedForm, space: NambuSpaceRk1) -> RelationReport:
-    """Check that the Nambu field is (-1)^k f^(k-1) times the polarized field."""
+def _relation(pf: PolarizedForm,
+              space: NambuSpaceRk1 | NambuSpaceR3n) -> RelationReport:
+    """Check that the Nambu field is, on each block i, (-1)^k f_i^(k-1)
+    times the polarized field."""
     if pf.chart != space.chart:
         raise ValueError("form does not live on this space")
-    k = space.k
-    lhs = nambu_field_rk1(pf.to_map(), space)
-    scale = pf.f[0] ** (k - 1)
-    if k % 2:
-        scale = -scale
-    rhs = hamiltonian_field(pf) * scale
+    chart = pf.chart
+    k = chart.k
+    lhs = _field(pf.differential())
+    X = hamiltonian_field(pf)
+    comps = {}
+    for i, f in enumerate(pf.f, start=1):
+        scale = -f ** (k - 1) if k % 2 else f ** (k - 1)
+        comps.update((idx, X.component(idx) * scale) for idx in _block(chart, i))
+    rhs = VectorField(chart, comps)
     return RelationReport(lhs == rhs, lhs, rhs)
+
+
+def verify_relation_rk1(pf: PolarizedForm, space: NambuSpaceRk1) -> RelationReport:
+    """Check that the Nambu field is (-1)^k f^(k-1) times the polarized field."""
+    return _relation(pf, space)
 
 
 def verify_relation_r3n(pf: PolarizedForm, space: NambuSpaceR3n) -> RelationReport:
     """Check that the Nambu field is sum_i f_i times the per-triple
     restriction of the polarized field."""
-    if pf.chart != space.chart:
-        raise ValueError("form does not live on this space")
-    H = pf.to_map()
-    lhs = nambu_field_r3n(H[0], H[1], space)
-    X = hamiltonian_field(pf)
-    rhs = VectorField(space.chart, {idx: X.component(idx) * f
-                                    for i, f in enumerate(pf.f, start=1)
-                                    for idx in space.triple_indices(i)})
-    return RelationReport(lhs == rhs, lhs, rhs)
+    return _relation(pf, space)

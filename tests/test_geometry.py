@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polaris.checks import closed_pfaff_check
+from polaris.checks import closed_pfaff_check, structure_checks
 from polaris.geometry import (
     Chart,
     KSymplecticStructure,
@@ -256,6 +256,27 @@ def test_structure_rejects_non_antisymmetric():
         TwoForm(3, [(0, 1, 1), (1, 1, 1)])
     with pytest.raises(ValueError, match="dimension"):
         KSymplecticStructure(R3, [TwoForm(4, [(0, 1, 1)])])
+
+
+@pytest.mark.parametrize("pairs, lines", [
+    # nondegenerate, but it pairs the two fiber directions
+    ([(0, 1, 1), (0, 2, 1), (1, 3, 1)], [
+        "PASS structure.joint-characteristic-trivial residual=0",
+        "FAIL structure.vertical-isotropy residual=theta^1(x1_1,x1_2) = 1"
+        " on vertical directions"]),
+    # vertically isotropic, but x1_2 and q2 lie in its kernel
+    ([(0, 2, 1)], [
+        "FAIL structure.joint-characteristic-trivial residual=kernel dimension 2",
+        "PASS structure.vertical-isotropy residual=0"]),
+    ([(0, 1, 2)], [
+        "FAIL structure.joint-characteristic-trivial residual=kernel dimension 2",
+        "FAIL structure.vertical-isotropy residual=joint characteristic space"
+        " has dimension 2; theta^1(x1_1,x1_2) = 2 on vertical directions"]),
+])
+def test_structure_checks_report_custom_forms(pairs, lines):
+    chart = Chart(2, 1)
+    results = structure_checks(KSymplecticStructure(chart, [TwoForm(4, pairs)]))
+    assert [result.line() for result in results] == lines
 
 
 # -- sparse 2-forms ------------------------------------------------------------

@@ -348,6 +348,26 @@ def test_first_integrals_along_polarized_flow():
             assert paired.is_zero
 
 
+@pytest.mark.parametrize("space", [NambuSpaceRk1(2), NambuSpaceRk1(3),
+                                   NambuSpaceR3n(1), NambuSpaceR3n(2)],
+                         ids=["rk1-k2", "rk1-k3", "r3n-n1", "r3n-n2"])
+def test_relation_reads_the_held_differential(monkeypatch, space):
+    verify = (verify_relation_rk1 if isinstance(space, NambuSpaceRk1)
+              else verify_relation_r3n)
+    pf = polarized_on(space, random.Random(space.dim))
+    pf.differential()
+    calls = []
+    partial = Polynomial.partial
+
+    def counted(self, var):
+        calls.append(var)
+        return partial(self, var)
+
+    monkeypatch.setattr(Polynomial, "partial", counted)
+    assert verify(pf, space).passed
+    assert calls == []
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         NambuSpaceRk1(1)
