@@ -7,9 +7,11 @@ inputs cover the passing demo, the demo with a perturbed Poisson tensor
 with n = 2 (triples, z-rate and first integrals), a nambu_r3n file with
 n = 1 (`r3n_n1`: two polarized maps and one quadratic in x, so it exits
 1 and runs the rk1-r3n consistency line), a nambu_rk1 file with k = 3
-(`rk1_k3`: the odd-k sign of the z-component), and two dense
+(`rk1_k3`: the odd-k sign of the z-component), two dense
 canonical (3,3) files with three maps each (`k3_dense`, and
-`k3_perturbed`, whose perturbed tensor prints long bracket residuals).  Any change to a
+`k3_perturbed`, whose perturbed tensor prints long bracket residuals),
+and a canonical (2,1) file with three maps (`k1_canonical`: a named
+Jacobi triple at k = 1 and the `classical.*` lines).  Any change to a
 check's name, order, residual or details shows up here.
 
 To re-record after an intended output change, run from the repo root:
@@ -54,6 +56,7 @@ GOLDEN = ROOT / "tests" / "golden"
 INPUTS = {
     "demo": ("problems/demo.json", 0),
     "demo_perturbed": ("tests/golden/demo_perturbed.json", 1),
+    "k1_canonical": ("tests/golden/k1_canonical.json", 0),
     "k3_dense": ("tests/golden/k3_dense.json", 0),
     "k3_perturbed": ("tests/golden/k3_perturbed.json", 1),
     "r3n_n1": ("tests/golden/r3n_n1.json", 1),
