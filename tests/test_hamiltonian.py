@@ -170,8 +170,9 @@ def test_bad_field_is_caught_by_the_duality_check(monkeypatch):
 
 
 def test_checks_bracket_each_pair_once(monkeypatch):
-    # {b,a} is read off {a,b}; Jacobi's own brackets go through
-    # hamiltonian.bracket and are not counted here
+    # {b,a} is read off {a,b}, and Jacobi reads the held inner brackets:
+    # the named triple adds its three outer brackets, and a random trial
+    # brackets {a,b}, {b,c}, {a,c} and the three outer ones
     calls = []
 
     def counted(a, b):
@@ -179,10 +180,54 @@ def test_checks_bracket_each_pair_once(monkeypatch):
         return bracket(a, b)
 
     monkeypatch.setattr(checks, "bracket", counted)
+    monkeypatch.setattr(hamiltonian, "bracket", counted)
     results = checks.run_suite(R3, {"H": H_MAP, "K": K_MAP, "L": L_MAP},
                                trials=4)
     assert all(r.passed for r in results)
-    assert len(calls) == 3 + 4  # three named pairs, four random trials
+    assert len(calls) == 3 + 3 + 4 * 6
+    # calls holds every form, so no two of them share an id
+    assert len({(id(a), id(b)) for a, b in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)])
+@pytest.mark.parametrize("scale", ["one", "basic"])
+def test_jacobi_on_held_brackets_matches_jacobi_check(monkeypatch, n, k, scale):
+    # s{H,K} with a basic s is bilinear and antisymmetric but, once n >= 2,
+    # breaks Jacobi, so the compared residual texts are not all zero; with
+    # one leaf each component is a bracket in two variables, which always
+    # satisfies Jacobi
+    chart = Chart(n, k)
+    s = Polynomial.constant(chart.dim, 1)
+    if scale == "basic":
+        s = s + Polynomial.variable(chart.dim, chart.leaf_index(1))
+
+    def scaled(a, b):
+        return s * bracket(a, b)
+
+    monkeypatch.setattr(checks, "bracket", scaled)
+    monkeypatch.setattr(hamiltonian, "bracket", scaled)
+    rng = random.Random(f"held-jacobi:{n}:{k}")
+    texts = set()
+    for _ in range(3):
+        a, b, c = (random_polarized(rng, chart, 1) for _ in range(3))
+        ab, bc, ac = (decompose_polarized(scaled(x, y))
+                      for x, y in ((a, b), (b, c), (a, c)))
+        held = checks.jacobi_result("t", a, b, c, ab, bc, ac)
+        report = jacobi_check(a, b, c)
+        assert (held.passed, held.residual) == (report.passed, report.residual_text)
+        texts.add(held.residual)
+    zero = RkMap(chart, [chart.zero()] * k).to_string()
+    assert (texts != {zero}) == (scale == "basic" and n > 1)
+
+
+def test_a_triple_with_a_pair_that_does_not_close_prints_no_jacobi(monkeypatch):
+    x = R3.coordinate("x")
+    monkeypatch.setattr(checks, "bracket",
+                        lambda a, b: RkMap(a.chart, [x * x, x * x]))
+    names = [r.name for r in checks.run_suite(
+        R3, {"H": H_MAP, "K": K_MAP, "L": L_MAP}, trials=2)]
+    assert "closure[H,K]" in names
+    assert not any(name.startswith(("jacobi[", "morphism[")) for name in names)
 
 
 def test_a_bracket_that_does_not_close_is_a_failed_check(monkeypatch):

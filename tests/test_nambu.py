@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from polaris import checks, nambu
 from polaris.geometry import Chart, RkMap, VectorField, differential, xi_pairing
 from polaris.hamiltonian import NotPolarized, decompose_polarized, hamiltonian_field
 from polaris.nambu import (
@@ -366,6 +367,26 @@ def test_relation_reads_the_held_differential(monkeypatch, space):
     monkeypatch.setattr(Polynomial, "partial", counted)
     assert verify(pf, space).passed
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_r3n_suite_builds_each_field_once(monkeypatch, n):
+    # the first-integral lines and, at n = 1, the consistency line share it
+    space = NambuSpaceR3n(n)
+    rng = random.Random(n)
+    named = {name: polarized_on(space, rng).to_map() for name in "HKL"}
+    built = []
+
+    def counted(H1, H2, space):
+        built.append((H1, H2))
+        return nambu_field_r3n(H1, H2, space)
+
+    monkeypatch.setattr(nambu, "nambu_field_r3n", counted)
+    monkeypatch.setattr(checks, "nambu_field_r3n", counted)
+    results = checks.run_suite(space.chart, named, space=space, trials=1)
+    assert all(r.passed for r in results)
+    assert sum(r.name.startswith("nambu.first-integrals[") for r in results) == 3
+    assert built == [(H[0], H[1]) for H in named.values()]
 
 
 def test_space_validation():
