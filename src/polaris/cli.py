@@ -451,10 +451,7 @@ def cmd_integrate(args) -> int:
             raise ProblemError(f"cannot write {args.out}: no directory {folder}")
 
     if args.flow == "hamiltonian":
-        try:
-            X = hamiltonian_field(decompose_polarized(H))
-        except NotPolarized as exc:
-            raise ProblemError(f"the hamiltonian flow needs a polarized map: {exc}")
+        X = _polarized_field(problem, H)
     else:
         X = _nambu_field(problem, H)
 

@@ -445,6 +445,14 @@ def test_integrate_needs_initial_state(demo, capsys):
     assert "initial state" in err
 
 
+def test_integrate_needs_a_polarized_map(demo, capsys):
+    payload = dict(DEMO, hamiltonians={"H": ["x^2", "z*y"]})
+    code, out, err = run(capsys, "integrate", demo(payload), "H")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the field of a map needs a polarized map:")
+
+
 def test_integrate_flag_overrides(demo, capsys):
     code, out, _ = run(capsys, "integrate", demo(DEMO), "H",
                        "--x0", "2,2,1", "--t1", "0.5", "--h", "0.01")
