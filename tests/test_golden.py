@@ -22,7 +22,11 @@ To re-record after an intended output change, run from the repo root:
 `integrate` is pinned by its stdout and its trajectory CSV for three
 runs over [0, 0.05] with h = 0.001: the demo's hamiltonian and nambu
 flows, and a dense canonical (3,3) flow (`tests/golden/dense33.json`,
-cubic in the leaves).  Each run copies its input into an empty
+cubic in the leaves).  Two aborted runs exit 1 and pin which reason is
+printed: the demo's nambu flow from (1, 1, 2) over [0, 1], which passes
+its pole at t = 1/2 (`demo_blowup`), and a canonical (1,1) map whose
+`H` overflows at t = 0 while its state blows up at t = 0.001 (`ovf`,
+`tests/golden/ovf.json`).  Each run copies its input into an empty
 directory and names input and CSV by relative paths, so stdout holds
 no machine path.  To re-record, run in such a directory:
 
@@ -78,24 +82,31 @@ def test_verify_output_matches_golden(monkeypatch, capsys, stem, mode):
 
 
 INTEGRATE_RUNS = {
-    "demo": ("problems/demo.json", ["--t1", "0.05"]),
-    "demo_nambu": ("problems/demo.json", ["--t1", "0.05", "--flow", "nambu"]),
-    "dense33": ("tests/golden/dense33.json", []),
+    "demo": ("problems/demo.json", ["--t1", "0.05"], 0),
+    "demo_nambu": ("problems/demo.json", ["--t1", "0.05", "--flow", "nambu"], 0),
+    "dense33": ("tests/golden/dense33.json", [], 0),
+    # z' = z^2 from z = 2 passes its pole at t = 1/2
+    "demo_blowup": ("problems/demo.json",
+                    ["--x0", "1,1,2", "--t1", "1", "--flow", "nambu"], 1),
+    # H overflows at t = 0 and the state blows up one step later: the
+    # blow-up is what is reported
+    "ovf": ("tests/golden/ovf.json", [], 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INTEGRATE_RUNS))
 def test_integrate_output_matches_golden(monkeypatch, capsys, tmp_path, case):
-    source, flags = INTEGRATE_RUNS[case]
+    source, flags, exit_code = INTEGRATE_RUNS[case]
     name = Path(source).name
     shutil.copyfile(ROOT / source, tmp_path / name)
     monkeypatch.chdir(tmp_path)
     argv = ["integrate", name, "H", *flags, "--out", f"{case}.csv"]
-    assert main(argv) == 0
+    assert main(argv) == exit_code
     expected = (GOLDEN / f"{case}.integrate.txt").read_bytes()
     assert capsys.readouterr().out.encode("ascii") == expected
-    expected_csv = (GOLDEN / f"{case}.integrate.csv").read_bytes()
-    assert (tmp_path / f"{case}.csv").read_bytes() == expected_csv
+    if exit_code == 0:
+        expected_csv = (GOLDEN / f"{case}.integrate.csv").read_bytes()
+        assert (tmp_path / f"{case}.csv").read_bytes() == expected_csv
 
 
 # run in a child interpreter: each job chdirs, runs `main(argv)` with
@@ -165,13 +176,14 @@ def test_golden_outputs_match_under_other_pythons(tmp_path):
                     + (["--json"] if mode == "json" else []), exit_code)
                 for stem, (path, exit_code) in INPUTS.items()
                 for mode in ("txt", "json")}
-        for case, (source, flags) in INTEGRATE_RUNS.items():
+        for case, (source, flags, exit_code) in INTEGRATE_RUNS.items():
             where = tmp_path / ".".join(map(str, version)) / case
             where.mkdir(parents=True)
             name = Path(source).name
             shutil.copyfile(ROOT / source, where / name)
             jobs[f"{case}.integrate.txt"] = (
-                str(where), ["integrate", name, "H", *flags, "--out", f"{case}.csv"], 0)
+                str(where), ["integrate", name, "H", *flags, "--out", f"{case}.csv"],
+                exit_code)
         done = subprocess.run([exe, "-c", REPLAY, json.dumps(jobs)],
                               capture_output=True, text=True, env=env,
                               timeout=300)
@@ -181,6 +193,8 @@ def test_golden_outputs_match_under_other_pythons(tmp_path):
             code, text = outputs[name]
             assert code == exit_code, (exe, name)
             assert text.encode("ascii") == (GOLDEN / name).read_bytes(), (exe, name)
-        for case in INTEGRATE_RUNS:
+        for case, (_, _, exit_code) in INTEGRATE_RUNS.items():
+            if exit_code:
+                continue
             csv = Path(jobs[f"{case}.integrate.txt"][0], f"{case}.csv").read_bytes()
             assert csv == (GOLDEN / f"{case}.integrate.csv").read_bytes(), (exe, case)
