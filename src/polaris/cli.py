@@ -21,15 +21,17 @@ list one expression per component (k of them).
 tensor and exists for fault-injection fixtures.
 
 Exit codes: 0 all good, 1 a verification or integration failed, 2 bad
-input.  Reports are plain text by default and a JSON document with
---json; identical inputs produce byte-identical output.  The random
-seed for verification is taken from --seed, else the POLARIS_SEED
-environment variable, else the file's tasks, else 42.
+input or a report that stdout would not take.  Reports are plain text
+by default and a JSON document with --json; identical inputs produce
+byte-identical output.  The random seed for verification is taken from
+--seed, else the POLARIS_SEED environment variable, else the file's
+tasks, else 42.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -43,7 +45,8 @@ from .dynamics import (
     MAX_STEPS,
     BlowUpError,
     conservation_report,
-    rk4_integrate,
+    csv_format,
+    rk4_stream,
 )
 from .geometry import Chart, RkMap
 from .hamiltonian import (
@@ -249,11 +252,19 @@ def _space_line(problem: Problem) -> str:
             f"dim={chart.dim}")
 
 
+class OutputError(Exception):
+    """The report could not be written to stdout; reported with exit code 2."""
+
+
 def _emit(report: dict, lines: list[str], as_json: bool):
-    if as_json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    text = json.dumps(report, indent=2) if as_json else "\n".join(lines)
+    # flushed here, so a full disk or a closed pipe shows up in `main`
+    # and not in the interpreter's final flush
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from None
 
 
 def _fail(message: str) -> int:
@@ -441,8 +452,8 @@ def cmd_integrate(args) -> int:
     # so a step above 3 such ulp keeps the grid strictly increasing
     if h <= 3 * math.ulp(max(abs(t0), abs(t1))):
         raise ProblemError("step size is below the float resolution of t0..t1")
-    # a path that can never be opened is refused before the integration
-    # runs; the write below still reports whatever else opening it meets
+    # a path that can never be opened is refused before the field is
+    # built; opening it, just before stepping, reports whatever else it meets
     if args.out:
         folder = os.path.dirname(args.out) or "."
         if os.path.isdir(args.out):
@@ -461,9 +472,24 @@ def cmd_integrate(args) -> int:
               f"t0={t0:.17g}  t1={t1:.17g}  h={h:.17g}  x0={x0_text}"]
     report |= {"map": args.name, "flow": args.flow,
                "t0": t0, "t1": t1, "h": h, "x0": x0}
+    header, row = csv_format(problem.chart.var_names, problem.chart.dim)
+    samples = 0
+
+    def rows_written(handle):
+        """The stream's states, each once its CSV row is in `handle`, if any."""
+        nonlocal samples
+        for t, state in rk4_stream(X, x0, t0, t1, h):
+            if handle is not None:
+                handle.write(row % (t, *state))
+            samples += 1
+            yield state
+
     try:
-        traj = rk4_integrate(X, x0, t0, t1, h)
-        drift = conservation_report(H, traj)
+        with (open(args.out, "w", encoding="ascii", newline="") if args.out
+              else contextlib.nullcontext()) as handle:
+            if handle is not None:
+                handle.write(header)
+            drift = conservation_report(H, rows_written(handle))
     except (BlowUpError, OverflowError) as exc:
         reason = str(exc) if isinstance(exc, BlowUpError) \
             else f"float overflow evaluating the field or H: {exc}"
@@ -471,17 +497,14 @@ def cmd_integrate(args) -> int:
         report["error"] = reason
         _emit(report, lines, args.json)
         return 1
-    lines.append(f"samples: {len(traj.times)}")
+    except OSError as exc:
+        raise ProblemError(f"cannot write {args.out}: {exc}") from None
+    lines.append(f"samples: {samples}")
     for p, value in enumerate(drift.drifts, start=1):
         lines.append(f"drift H^{p} = {value:.17g}")
-    report["samples"] = len(traj.times)
+    report["samples"] = samples
     report["drifts"] = [f"{value:.17g}" for value in drift.drifts]
     if args.out:
-        try:
-            with open(args.out, "w", encoding="ascii", newline="") as handle:
-                traj.write_csv(handle, problem.chart.var_names)
-        except OSError as exc:
-            raise ProblemError(f"cannot write {args.out}: {exc}") from None
         lines.append(f"csv: {args.out}")
         report["csv"] = args.out
     _emit(report, lines, args.json)
@@ -555,6 +578,10 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ProblemError, ParseError, DegreeOverflowError,
             UnprintableCoefficientError) as exc:
+        return _fail(str(exc))
+    except OutputError as exc:
+        # what stdout still buffers would fail again on exit
+        sys.stdout = open(os.devnull, "w", encoding="ascii")
         return _fail(str(exc))
 
 

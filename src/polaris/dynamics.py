@@ -6,13 +6,20 @@ accumulation), polynomial evaluation follows the canonical term order
 every run of the same inputs produces bit-identical output.  The
 integrator is deliberately plain; conservation drift is a measured
 quantity here, not something the method is designed to hide.
+
+Integration is a stream: `rk4_stream` yields each accepted state as it
+is stepped, so a caller that writes rows and folds drift as they come
+holds one state, whatever the step count.  `rk4_integrate` collects the
+same stream into a `Trajectory` for callers that need all of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import RkMap, VectorField
 from .poly import Polynomial, float_evaluator
@@ -63,16 +70,26 @@ class Trajectory:
 
     def write_csv(self, stream, var_names: Sequence[str]):
         """CSV with header "t,<vars>" and 17-significant-digit floats."""
-        if len(var_names) != len(self.states[0]):
-            raise ValueError("one column name per state component required")
-        stream.write("t," + ",".join(var_names) + "\n")
-        # "%.17g" % v and format(v, ".17g") give the same text
-        row = ",".join(["%.17g"] * (len(var_names) + 1)) + "\n"
+        header, row = csv_format(var_names, len(self.states[0]))
+        stream.write(header)
         for t, state in zip(self.times, self.states):
             stream.write(row % (t, *state))
 
 
-def _time_grid(t0: float, t1: float, h: float) -> list[float]:
+def csv_format(var_names: Sequence[str], dim: int) -> tuple[str, str]:
+    """The header line of a trajectory CSV and the `%` template of its rows,
+    one per (t, *state)."""
+    if len(var_names) != dim:
+        raise ValueError("one column name per state component required")
+    # "%.17g" % v and format(v, ".17g") give the same text
+    return ("t," + ",".join(var_names) + "\n",
+            ",".join(["%.17g"] * (dim + 1)) + "\n")
+
+
+def _time_grid(t0: float, t1: float, h: float) -> Iterator[float]:
+    """t0 + i*h while that stays short of t1, then t1 itself, which replaces
+    the last such time when it lies within rounding of t1.  The step
+    count is checked on the call; the times come one at a time."""
     span = t1 - t0
     estimated = span / h
     if estimated > MAX_STEPS:
@@ -80,20 +97,63 @@ def _time_grid(t0: float, t1: float, h: float) -> list[float]:
     n_full = int(math.floor(estimated * (1.0 + 1e-12)))
     while t0 + n_full * h > t1:
         n_full -= 1
-    grid = [t0 + i * h for i in range(n_full + 1)]
-    if grid[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
-        grid.append(t1)
-    else:
-        grid[-1] = t1
-    return grid
+    if t0 + n_full * h < t1 - 1e-12 * max(1.0, abs(t1)):
+        n_full += 1
+    return itertools.chain((t0 + i * h for i in range(n_full)), (t1,))
 
 
-def rk4_integrate(X: VectorField, x0: Sequence[float], t0: float, t1: float,
-                  h: float) -> Trajectory:
-    """Classical 4th-order Runge-Kutta with a shortened final step.
+@lru_cache(maxsize=16)
+def _step_maker(dim: int):
+    """`make(rhs, limit, BlowUpError) -> step` for states of `dim` components.
 
-    The last grid point lands exactly on t1.  Integration aborts with
-    BlowUpError once any component passes the magnitude guard.
+    `step(t_now, t_next, state)` is one classical RK4 step from `t_now` to
+    `t_next` that returns the new state tuple, or raises BlowUpError at the
+    first component past `limit` (or NaN).  The state is unpacked into
+    locals and each stage is written out per component, with the
+    operations and their order of the textbook list form, so every float
+    keeps its bits; only integer indices enter the source.
+    """
+    def each(template: str) -> str:
+        return "".join(template.format(i) + ", " for i in range(dim))
+
+    def stage(coeff: str, k: str) -> str:
+        return each(f"s{{0}} + {coeff} * {k}{{0}}")
+
+    inside = " and ".join(f"abs(n{i}) <= limit" for i in range(dim))
+    source = "\n".join([
+        "def make(rhs, limit, BlowUpError):",
+        "    def step(t_now, t_next, state):",
+        f"        {each('s{0}')}= state",
+        "        h = t_next - t_now",
+        "        half = 0.5 * h",
+        f"        {each('a{0}')}= rhs(state)",
+        f"        {each('b{0}')}= rhs(({stage('half', 'a')}))",
+        f"        {each('c{0}')}= rhs(({stage('half', 'b')}))",
+        f"        {each('d{0}')}= rhs(({stage('h', 'c')}))",
+        f"        {each('n{0}')}= "
+        + each("s{0} + h * ((a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0}) / 6.0)"),
+        f"        state = ({each('n{0}')})",
+        f"        if not ({inside}):  # also catches NaN",
+        "            raise BlowUpError(t_next, next(",
+        "                v for v in state if not abs(v) <= limit))",
+        "        return state",
+        "    return step",
+    ])
+    namespace: dict = {}
+    exec(compile(source, "<rk4_step>", "exec"), namespace)
+    return namespace.pop("make")
+
+
+def rk4_stream(X: VectorField, x0: Sequence[float], t0: float, t1: float,
+               h: float) -> Iterator[tuple[float, tuple[float, ...]]]:
+    """Classical 4th-order Runge-Kutta with a shortened final step, as a
+    stream of `(t, state)`: the initial state first, then each state as
+    soon as its step is accepted.
+
+    The arguments are checked on the call.  The last grid point lands
+    exactly on t1.  The stream stops with BlowUpError once any component
+    passes the magnitude guard, and with OverflowError when the field's
+    evaluation overflows.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
@@ -105,24 +165,24 @@ def rk4_integrate(X: VectorField, x0: Sequence[float], t0: float, t1: float,
 
     rhs = float_evaluator([X.component(i) for i in range(dim)])
     grid = _time_grid(t0, t1, h)
-    state = [float(v) for v in x0]
-    times = [grid[0]]
-    states = [tuple(state)]
-    for t_now, t_next in zip(grid, grid[1:]):
-        step = t_next - t_now
-        half = 0.5 * step
-        k1 = rhs(state)
-        k2 = rhs([s + half * v for s, v in zip(state, k1)])
-        k3 = rhs([s + half * v for s, v in zip(state, k2)])
-        k4 = rhs([s + step * v for s, v in zip(state, k3)])
-        state = [s + step * ((a + 2.0 * b + 2.0 * c + d) / 6.0)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        for v in state:
-            if not abs(v) <= BLOWUP_LIMIT:  # also catches NaN
-                raise BlowUpError(t_next, v)
-        times.append(t_next)
-        states.append(tuple(state))
-    return Trajectory(tuple(times), tuple(states))
+    step = _step_maker(dim)(rhs, BLOWUP_LIMIT, BlowUpError)
+    return _steps(step, grid, tuple(float(v) for v in x0))
+
+
+def _steps(step, grid: Iterator[float], state: tuple[float, ...]):
+    t_now = next(grid)
+    yield t_now, state
+    for t_next in grid:
+        state = step(t_now, t_next, state)
+        yield t_next, state
+        t_now = t_next
+
+
+def rk4_integrate(X: VectorField, x0: Sequence[float], t0: float, t1: float,
+                  h: float) -> Trajectory:
+    """The whole `rk4_stream` of these arguments as one Trajectory."""
+    times, states = zip(*rk4_stream(X, x0, t0, t1, h))
+    return Trajectory(times, states)
 
 
 @dataclass(frozen=True)
@@ -135,16 +195,40 @@ class ConservationReport:
         return max(self.drifts)
 
 
-def conservation_report(H: RkMap, traj: Trajectory) -> ConservationReport:
-    dim = H.chart.dim
-    if len(traj.states[0]) != dim:
+def conservation_report(H: RkMap, states: Trajectory | Iterable[Sequence[float]]
+                        ) -> ConservationReport:
+    """Max |H^p(s) - H^p(s_0)| over a trajectory's states, or over states
+    drawn one at a time from an iterable (such as a stream that steps as
+    it is read).
+
+    An OverflowError while evaluating `H` does not stop the walk: the
+    remaining states are still drawn, so an error raised by the stream
+    that yields them comes first, and the first such overflow is raised
+    once the states run out.
+    """
+    if isinstance(states, Trajectory):
+        states = states.states
+    states = iter(states)
+    first = next(states, None)
+    if first is None:
+        raise ValueError("no states to report on")
+    if len(first) != H.chart.dim:
         raise ValueError("trajectory dimension does not match the chart")
     values = float_evaluator(list(H))
-    initial = values(traj.states[0])
-    drifts = [0.0] * len(initial)
-    for state in traj.states:
-        for p, (v, h0) in enumerate(zip(values(state), initial)):
-            drifts[p] = max(drifts[p], abs(v - h0))
+    initial = drifts = overflow = None
+    for state in itertools.chain((first,), states):
+        if overflow is not None:
+            continue
+        try:
+            now = values(state)
+        except OverflowError as exc:
+            overflow = exc
+            continue
+        if initial is None:
+            initial, drifts = now, [0.0] * len(now)
+        drifts = [max(d, abs(v - h0)) for d, v, h0 in zip(drifts, now, initial)]
+    if overflow is not None:
+        raise overflow
     return ConservationReport(tuple(drifts))
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -427,7 +428,7 @@ def test_integrate_checks_out_before_integrating(demo, capsys, tmp_path,
     def never(*args, **kwargs):
         raise AssertionError("integrated before checking --out")
 
-    monkeypatch.setattr("polaris.cli.rk4_integrate", never)
+    monkeypatch.setattr("polaris.cli.rk4_stream", never)
     monkeypatch.setattr("polaris.cli.hamiltonian_field", never)
     target = tmp_path / "missing" / "x.csv" if where == "missing-folder" else tmp_path
     code, out, err = run(capsys, "integrate", demo(DEMO), "H",
@@ -486,6 +487,25 @@ def test_integrate_nambu_flow_on_pole_free_span(demo, capsys):
     for line in out.splitlines():
         if line.startswith("drift"):
             assert float(line.split("=")[1]) <= 1e-8
+
+
+def test_aborted_integration_keeps_the_rows_before_the_abort(demo, capsys,
+                                                             tmp_path):
+    # from z = 2 the nambu flow passes its pole at t = 1/2 and aborts at
+    # t = 0.501; a run over [0, 0.5] writes the same header and rows
+    path = demo(DEMO)
+    aborted, whole = tmp_path / "aborted.csv", tmp_path / "whole.csv"
+    flags = ["--flow", "nambu", "--x0", "1,1,2"]
+    code, out, _ = run(capsys, "integrate", path, "H", *flags, "--out", str(aborted))
+    assert code == 1
+    assert "integration aborted: state magnitude" in out
+    assert "at t=0.501" in out
+    assert "csv:" not in out
+    code, out, _ = run(capsys, "integrate", path, "H", *flags, "--t1", "0.5",
+                       "--out", str(whole))
+    assert code == 0
+    assert "samples: 501" in out
+    assert aborted.read_bytes() == whole.read_bytes()
 
 
 # -- determinism -----------------------------------------------------------------
@@ -620,3 +640,61 @@ def test_successive_calls_answer_like_fresh_processes(demo, capsys, monkeypatch)
         assert (code, captured.out, captured.err) \
             == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert build_parser.cache_info().misses == 1
+
+
+# -- output faults and memory ----------------------------------------------------
+
+K3_DENSE = Path(__file__).resolve().parent / "golden" / "k3_dense.json"
+WRITE_FAULT_COMMANDS = {
+    "verify": ["verify", str(K3_DENSE), "--trials", "1"],
+    "verify-json": ["verify", str(K3_DENSE), "--trials", "1", "--json"],
+    "integrate": ["integrate", str(DEMO_FILE), "H", "--t1", "0.01"],
+}
+
+
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+@pytest.mark.parametrize("command", sorted(WRITE_FAULT_COMMANDS))
+def test_failed_stdout_write_is_exit_2(command, sink):
+    cmd = [sys.executable, "-m", "polaris", *WRITE_FAULT_COMMANDS[command]]
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        with open("/dev/full", "w") as target:
+            done = subprocess.run(cmd, stdout=target, stderr=subprocess.PIPE,
+                                  text=True)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader, before the child starts
+        try:
+            done = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True)
+        finally:
+            os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write output: ")
+    # one line: no traceback, and nothing from the final flush
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
+# the child prints the exit code and its peak RSS in KiB on stderr
+RSS_PROBE = """
+import resource, sys
+from polaris.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_integrate_memory_does_not_grow_with_the_step_count(tmp_path):
+    peaks = []
+    for steps in (20_000, 200_000):
+        cmd = [sys.executable, "-c", RSS_PROBE, "integrate", str(DEMO_FILE), "H",
+               "--t1", "1", "--h", repr(1 / steps), "--out", str(tmp_path / "t.csv")]
+        done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        code, peak = map(int, done.stderr.split())
+        assert code == 0
+        assert f"samples: {steps + 1}" in done.stdout
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= 2 * 1024, peaks

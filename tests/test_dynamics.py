@@ -1,21 +1,26 @@
 import io
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polaris.dynamics import (
+    BLOWUP_LIMIT,
+    MAX_STEPS,
     BlowUpError,
     ScaleVanishedError,
     Trajectory,
     compare_flows,
     conservation_report,
     rk4_integrate,
+    rk4_stream,
 )
-from polaris.geometry import RkMap, VectorField
+from polaris.geometry import Chart, RkMap, VectorField
 from polaris.hamiltonian import decompose_polarized, hamiltonian_field
 from polaris.nambu import NambuSpaceRk1, nambu_field_rk1
 from polaris.parsing import parse_polynomial
+from polaris.poly import Polynomial, float_evaluator
 
 SPACE = NambuSpaceRk1(2)
 R3 = SPACE.chart
@@ -186,3 +191,158 @@ def test_csv_export_of_an_int_end_time():
         for t, state in zip(traj.times, traj.states))
     assert buffer.getvalue() == expected
     assert buffer.getvalue().splitlines()[-1].startswith("1,")
+
+
+# -- the stream against the list-form reference -----------------------------------
+
+
+def reference_rk4(X, x0, t0, t1, h):
+    """RK4 over a list grid with list-comprehension stages, the reference
+    whose bits the generated step must keep.  Returns (times, states) or
+    the BlowUpError or OverflowError it stops with."""
+    estimated = (t1 - t0) / h
+    assert estimated <= MAX_STEPS
+    n_full = int(math.floor(estimated * (1.0 + 1e-12)))
+    while t0 + n_full * h > t1:
+        n_full -= 1
+    grid = [t0 + i * h for i in range(n_full + 1)]
+    if grid[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
+        grid.append(t1)
+    else:
+        grid[-1] = t1
+    rhs = float_evaluator([X.component(i) for i in range(X.chart.dim)])
+    state = [float(v) for v in x0]
+    times, states = [grid[0]], [tuple(state)]
+    try:
+        for t_now, t_next in zip(grid, grid[1:]):
+            step = t_next - t_now
+            half = 0.5 * step
+            k1 = rhs(state)
+            k2 = rhs([s + half * v for s, v in zip(state, k1)])
+            k3 = rhs([s + half * v for s, v in zip(state, k2)])
+            k4 = rhs([s + step * v for s, v in zip(state, k3)])
+            state = [s + step * ((a + 2.0 * b + 2.0 * c + d) / 6.0)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            for v in state:
+                if not abs(v) <= BLOWUP_LIMIT:
+                    raise BlowUpError(t_next, v)
+            times.append(t_next)
+            states.append(tuple(state))
+    except (BlowUpError, OverflowError) as exc:
+        return exc
+    return tuple(times), tuple(states)
+
+
+def outcome(result):
+    """Comparable form of a run: its times and the bit patterns of its
+    states, or the error it stopped with (a NaN is only a NaN)."""
+    if isinstance(result, BlowUpError):
+        return "blow-up", result.time, repr(result.value)
+    if isinstance(result, OverflowError):
+        return "overflow", str(result)
+    times, states = result
+    return times, tuple(tuple(v.hex() for v in state) for state in states)
+
+
+STREAM_CHARTS = [Chart(1, 1), Chart(1, 2), Chart(2, 1), Chart(1, 3), Chart(2, 2)]
+
+
+@st.composite
+def fields(draw):
+    chart = draw(st.sampled_from(STREAM_CHARTS))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+    monomials = st.tuples(*[st.integers(0, 2)] * chart.dim)
+    components = {}
+    for i in range(chart.dim):
+        terms = draw(st.dictionaries(monomials, coefficients, max_size=4))
+        if terms:
+            components[i] = Polynomial(chart.dim, terms)
+    x0 = draw(st.lists(st.floats(-2, 2), min_size=chart.dim,
+                       max_size=chart.dim))
+    return VectorField(chart, components), x0
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(), st.floats(-1, 1), st.sampled_from([0.1, 0.03, 1 / 7, 0.0125]),
+       st.floats(0.5, 30))
+@example(  # ten full steps of 0.03 and a final one of 0.01
+    (VectorField(Chart(1, 1), {0: Polynomial(2, {(1, 1): Fraction(1, 2)}),
+                               1: Polynomial(2, {(0, 0): -1})}), [0.5, -0.25]),
+    0.0, 0.03, 31 / 3)
+def test_stream_matches_the_list_form_bit_for_bit(field, t0, h, steps):
+    X, x0 = field
+    t1 = t0 + steps * h
+    expected = reference_rk4(X, x0, t0, t1, h)
+    try:
+        got = rk4_integrate(X, x0, t0, t1, h)
+    except (BlowUpError, OverflowError) as exc:
+        got = exc
+    else:
+        got = got.times, got.states
+    assert outcome(got) == outcome(expected)
+
+
+def test_stream_checks_its_arguments_on_the_call():
+    # the errors come from the call, before any state is drawn
+    calls = [(X_H, (1.0, 1.0, 1.0), 0.0, 1.0, 0.0),
+             (X_H, (1.0, 1.0, 1.0), 1.0, 0.0, 0.1),
+             (X_H, (1.0, 1.0), 0.0, 1.0, 0.1),
+             (X_H, (1.0, 1.0, 1.0), 0.0, 2.0, 1e-9)]
+    for args in calls:
+        with pytest.raises(ValueError):
+            rk4_stream(*args)
+
+
+def test_stream_hands_on_each_state_before_the_next_step():
+    # dz/dt = z^2 from z = 2 blows up past t = 0.5; the states before that
+    # come out of the stream before it raises
+    X = VectorField(R3, {R3.variable_index("z"): parse_polynomial("z^2", R3)})
+    seen = []
+    with pytest.raises(BlowUpError) as err:
+        for t, state in rk4_stream(X, (0.0, 0.0, 2.0), 0.0, 1.0, 1e-3):
+            seen.append(t)
+    assert seen[0] == 0.0
+    assert err.value.time > seen[-1] > 0.49
+
+
+def test_conservation_report_reads_a_stream_like_a_trajectory():
+    traj = rk4_integrate(X_H, (1.0, 1.0, 1.0), 0.0, 1.0, 1e-2)
+    from_stream = conservation_report(
+        H_MAP, (state for _, state in rk4_stream(X_H, (1.0, 1.0, 1.0),
+                                                 0.0, 1.0, 1e-2)))
+    assert from_stream == conservation_report(H_MAP, traj)
+    with pytest.raises(ValueError):
+        conservation_report(H_MAP, iter(()))
+    with pytest.raises(ValueError, match="dimension"):
+        conservation_report(H_MAP, [(1.0, 1.0)])
+
+
+OVERFLOWING_H = RkMap(R3, [parse_polynomial("z^32", R3), R3.zero()])
+
+
+def test_overflow_of_h_waits_for_the_end_of_the_stream():
+    # z = 1e10 overflows z^32; the first overflow is raised once the
+    # states run out, after every state has been drawn
+    drawn = []
+
+    def states():
+        for state in [(0.0, 0.0, 1.0), (0.0, 0.0, 1e10), (0.0, 0.0, 1e11),
+                      (0.0, 0.0, 1.0)]:
+            drawn.append(state)
+            yield state
+
+    with pytest.raises(OverflowError) as err:
+        conservation_report(OVERFLOWING_H, states())
+    assert len(drawn) == 4
+    with pytest.raises(OverflowError) as first:
+        float_evaluator(list(OVERFLOWING_H))((0.0, 0.0, 1e10))
+    assert str(err.value) == str(first.value)
+
+
+def test_an_error_of_the_stream_comes_before_an_overflow_of_h():
+    def states():
+        yield (0.0, 0.0, 1e10)  # H overflows here
+        raise BlowUpError(0.001, 2e12)
+
+    with pytest.raises(BlowUpError):
+        conservation_report(OVERFLOWING_H, states())
