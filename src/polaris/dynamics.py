@@ -104,7 +104,7 @@ def _time_grid(t0: float, t1: float, h: float) -> Iterator[float]:
 
 @lru_cache(maxsize=16)
 def _step_maker(dim: int):
-    """`make(rhs, limit, BlowUpError) -> step` for states of `dim` components.
+    """`make(rhs, limit) -> step` for states of `dim` components.
 
     `step(t_now, t_next, state)` is one classical RK4 step from `t_now` to
     `t_next` that returns the new state tuple, or raises BlowUpError at the
@@ -121,7 +121,7 @@ def _step_maker(dim: int):
 
     inside = " and ".join(f"abs(n{i}) <= limit" for i in range(dim))
     source = "\n".join([
-        "def make(rhs, limit, BlowUpError):",
+        "def make(rhs, limit):",
         "    def step(t_now, t_next, state):",
         f"        {each('s{0}')}= state",
         "        h = t_next - t_now",
@@ -139,7 +139,7 @@ def _step_maker(dim: int):
         "        return state",
         "    return step",
     ])
-    namespace: dict = {}
+    namespace = {"BlowUpError": BlowUpError}
     exec(compile(source, "<rk4_step>", "exec"), namespace)
     return namespace.pop("make")
 
@@ -165,7 +165,7 @@ def rk4_stream(X: VectorField, x0: Sequence[float], t0: float, t1: float,
 
     rhs = float_evaluator([X.component(i) for i in range(dim)])
     grid = _time_grid(t0, t1, h)
-    step = _step_maker(dim)(rhs, BLOWUP_LIMIT, BlowUpError)
+    step = _step_maker(dim)(rhs, BLOWUP_LIMIT)
     return _steps(step, grid, tuple(float(v) for v in x0))
 
 
