@@ -41,6 +41,10 @@ The same cases are replayed under every other CPython >= 3.10 that
 starts here, `python3.X` on PATH and each pyenv install, so a change of
 interpreter cannot move a byte of the output.  polaris needs only the
 standard library, so those interpreters need no test packages.
+
+The same verify runs also pin their work, counted in the kernel's own
+units rather than in seconds, so a change that adds term pairs or
+derivatives fails here whatever the host's speed.
 """
 
 import glob
@@ -54,6 +58,7 @@ from pathlib import Path
 import pytest
 
 from polaris.cli import main
+from polaris.poly import Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -80,6 +85,39 @@ def test_verify_output_matches_golden(monkeypatch, capsys, stem, mode):
     assert main(argv) == exit_code
     expected = (GOLDEN / f"{stem}.verify.{mode}").read_bytes()
     assert capsys.readouterr().out.encode("ascii") == expected
+
+
+# Work of the verify runs above, counted by the kernel's own units: term
+# pairs that `Polynomial.dot` (and so `*`) receives, sum of |a|*|b|;
+# `partial` calls; and those of them on the zero polynomial.  A change
+# that lowers a count lowers its pin; one that raises it says why.
+WORK_PINS = {"term_pairs": 409_465, "partial": 10_322, "partial_of_zero": 1_421}
+
+
+def test_verify_work_stays_under_its_pins(monkeypatch, capsys):
+    counts = dict.fromkeys(WORK_PINS, 0)
+    dot = Polynomial.dot.__func__
+    partial = Polynomial.partial
+
+    def counted(pairs):
+        for a, b in pairs:
+            counts["term_pairs"] += len(a.terms) * len(b.terms)
+            yield a, b
+
+    def counted_partial(self, var):
+        counts["partial"] += 1
+        counts["partial_of_zero"] += self.is_zero
+        return partial(self, var)
+
+    monkeypatch.setattr(Polynomial, "dot", classmethod(
+        lambda cls, dim, pairs: dot(cls, dim, counted(pairs))))
+    monkeypatch.setattr(Polynomial, "partial", counted_partial)
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("POLARIS_SEED", raising=False)
+    for path, exit_code in INPUTS.values():
+        assert main(["verify", path, "--trials", "3"]) == exit_code
+    capsys.readouterr()
+    assert all(counts[name] <= pin for name, pin in WORK_PINS.items()), counts
 
 
 INTEGRATE_RUNS = {
