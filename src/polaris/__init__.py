@@ -24,8 +24,6 @@ from .geometry import (
     canonical_theta,
     check_ksymplectic,
     differential,
-    exterior_derivative_one_form,
-    grid_is_zero,
     interior_product,
     is_basic,
     xi_pairing,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .linalg import kernel
 from .poly import Polynomial
@@ -190,15 +190,6 @@ class VectorField:
         self.chart = chart
         self._comps = comps
 
-    @classmethod
-    def zero(cls, chart: Chart) -> "VectorField":
-        return cls(chart)
-
-    @classmethod
-    def coordinate(cls, chart: Chart, idx: int) -> "VectorField":
-        """The constant field along one coordinate direction."""
-        return cls(chart, {idx: chart.constant(1)})
-
     def component(self, idx: int) -> Polynomial:
         return self._comps.get(idx, Polynomial.zero(self.chart.dim))
 
@@ -269,11 +260,6 @@ class OneFormRk:
         self.comps = grid
 
     @classmethod
-    def zero(cls, chart: Chart) -> "OneFormRk":
-        z = chart.zero()
-        return cls(chart, [[z] * chart.dim for _ in range(chart.k)])
-
-    @classmethod
     def basis(cls, chart: Chart, p: int, j: int) -> "OneFormRk":
         """dx^j tensor e_p with 0-based p and j."""
         grid = [[chart.zero()] * chart.dim for _ in range(chart.k)]
@@ -335,21 +321,6 @@ def interior_product(X: VectorField, theta: TwoForm) -> tuple[Polynomial, ...]:
         if j in comps:
             slots[i].append(comps[j] * -c)
     return tuple(Polynomial.sum(chart.dim, terms) for terms in slots)
-
-
-def exterior_derivative_one_form(
-        omega: Sequence[Polynomial]) -> tuple[tuple[Polynomial, ...], ...]:
-    """d(omega) as the antisymmetric grid (i,j) -> dω_j/dx^i - dω_i/dx^j."""
-    n = len(omega)
-    if n == 0 or any(p.dim != omega[0].dim for p in omega):
-        raise ValueError("omega must be a non-empty row over one chart")
-    return tuple(
-        tuple(omega[j].partial(i) - omega[i].partial(j) for j in range(n))
-        for i in range(n))
-
-
-def grid_is_zero(grid: Sequence[Sequence[Polynomial]]) -> bool:
-    return all(p.is_zero for row in grid for p in row)
 
 
 def xi_pairing(beta: OneFormRk, X: VectorField) -> RkMap:

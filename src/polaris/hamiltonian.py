@@ -261,9 +261,6 @@ class GeneralPoissonTensor:
         self.chart = chart
         self._entries = acc
 
-    def entries(self) -> tuple[tuple[tuple[int, int, int, int, int], Polynomial], ...]:
-        return tuple((key, self._entries[key]) for key in sorted(self._entries))
-
     def with_entries(self, extra: Mapping[tuple[int, int, int, int, int],
                                           Polynomial | int]) -> "GeneralPoissonTensor":
         tweak = GeneralPoissonTensor(self.chart, extra)._entries

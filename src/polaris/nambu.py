@@ -48,10 +48,6 @@ class NambuSpaceRk1:
         self.k = k
         self.chart = Chart(1, k, table)
 
-    @property
-    def dim(self) -> int:
-        return self.k + 1
-
     def coordinate_index(self, i: int) -> int:
         """Chart index of coordinate i in the 1-based order x^1..x^k, z."""
         if not 1 <= i <= self.k + 1:
@@ -77,10 +73,6 @@ class NambuSpaceR3n:
         table.update(aliases or {})
         self.n = n
         self.chart = Chart(n, 2, table)
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.n
 
     def triple_indices(self, i: int) -> tuple[int, int, int]:
         """Chart indices of (x^i, y^i, z^i), 1-based i."""

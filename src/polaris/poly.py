@@ -25,9 +25,9 @@ into one map, so a bracket, pairing or directional derivative never
 builds its products one by one.
 
 The packed format stays inside this module.  Callers see exponent
-tuples and `Fraction` coefficients through `terms`, `ordered_terms`,
-`coefficient` and `constant_value`, views built on demand, and test or
-split polynomials by variables with `free_of` and `split_linear`.
+tuples and `Fraction` coefficients through `terms` and `ordered_terms`,
+views built on demand, and test or split polynomials by variables with
+`free_of` and `split_linear`.
 
 Term order is descending lexicographic on exponent vectors.  Printing,
 iteration and float evaluation all follow this one order, so equal
@@ -299,16 +299,6 @@ class Polynomial:
         dim, den, num = self.dim, self._den, self._num
         return tuple((_unpack(dim, m), Fraction(num[m], den))
                      for m in sorted(num, reverse=True))
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        exps = tuple(exps)
-        if len(exps) != self.dim or not all(0 <= e <= MAX_EXPONENT for e in exps):
-            return Fraction(0)
-        return Fraction(self._num.get(_pack(exps), 0), self._den)
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant term."""
-        return Fraction(self._num.get(0, 0), self._den)
 
     def free_of(self, variables: Iterable[int]) -> bool:
         """True when no term involves any of `variables`."""

@@ -25,8 +25,6 @@ from polaris.geometry import (
     RkMap,
     check_ksymplectic,
     differential,
-    exterior_derivative_one_form,
-    grid_is_zero,
     interior_product,
     xi_pairing,
 )
@@ -51,6 +49,8 @@ from polaris.nambu import (
 )
 from polaris.parsing import parse_polynomial
 from polaris.sampling import random_basic, random_polarized, random_polynomial
+
+from pfaff import exterior_derivative_one_form, grid_is_zero
 
 SEED = 42
 TRIALS = 100

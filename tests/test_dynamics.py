@@ -31,7 +31,7 @@ X_N = nambu_field_rk1(H_MAP, SPACE)                        # (-xz, -yz, z^2)
 
 
 def test_constant_field_integrates_exactly():
-    X = VectorField.coordinate(R3, R3.variable_index("z"))
+    X = VectorField(R3, {R3.variable_index("z"): R3.constant(1)})
     traj = rk4_integrate(X, (0.0, 0.0, 0.0), 0.0, 1.0, 0.1)
     assert traj.final_state[2] == 1.0
     assert traj.times[-1] == 1.0
@@ -39,7 +39,7 @@ def test_constant_field_integrates_exactly():
 
 
 def test_zero_field_stays_put():
-    traj = rk4_integrate(VectorField.zero(R3), (2.0, -1.0, 0.5), 0.0, 1.0, 0.25)
+    traj = rk4_integrate(VectorField(R3), (2.0, -1.0, 0.5), 0.0, 1.0, 0.25)
     assert all(state == (2.0, -1.0, 0.5) for state in traj.states)
 
 
@@ -51,7 +51,7 @@ def test_exponential_flow_accuracy():
 
 
 def test_final_partial_step_lands_on_t1():
-    X = VectorField.coordinate(R3, R3.variable_index("z"))
+    X = VectorField(R3, {R3.variable_index("z"): R3.constant(1)})
     traj = rk4_integrate(X, (0.0, 0.0, 0.0), 0.0, 1.0, 0.3)
     assert traj.times[-1] == 1.0
     assert len(traj.times) == 5  # 0, .3, .6, .9, 1.0
@@ -124,7 +124,7 @@ def test_compare_flows_nambu_vs_polarized():
 
 
 def test_compare_flows_scale_guard():
-    X = VectorField.coordinate(R3, R3.variable_index("z"))
+    X = VectorField(R3, {R3.variable_index("z"): R3.constant(1)})
     scale = R3.coordinate("q1")
     with pytest.raises(ScaleVanishedError) as err:
         compare_flows(X, X, scale, (0.0, 0.0, -0.5), 0.0, 1.0, 1e-3)
@@ -141,7 +141,7 @@ def test_trajectory_validation():
 
 
 def test_csv_export_format():
-    X = VectorField.coordinate(R3, R3.variable_index("z"))
+    X = VectorField(R3, {R3.variable_index("z"): R3.constant(1)})
     traj = rk4_integrate(X, (0.25, 0.0, 1.0 / 3.0), 0.0, 0.2, 0.1)
     buffer = io.StringIO()
     traj.write_csv(buffer, R3.var_names)
@@ -181,7 +181,7 @@ def test_csv_template_formats_like_format_spec(v):
 
 def test_csv_export_of_an_int_end_time():
     # the last grid time is t1 itself, so an int t1 stays an int
-    X = VectorField.coordinate(R3, R3.variable_index("z"))
+    X = VectorField(R3, {R3.variable_index("z"): R3.constant(1)})
     traj = rk4_integrate(X, (0.25, 0.0, 1.0 / 3.0), 0.0, 1, 0.5)
     assert type(traj.times[-1]) is int
     buffer = io.StringIO()

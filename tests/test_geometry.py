@@ -15,8 +15,6 @@ from polaris.geometry import (
     canonical_theta,
     check_ksymplectic,
     differential,
-    exterior_derivative_one_form,
-    grid_is_zero,
     interior_product,
     is_basic,
     xi_pairing,
@@ -28,11 +26,13 @@ from polaris.poly import Polynomial
 from polaris.nambu import NambuSpaceRk1
 from polaris.sampling import random_basic, random_polarized
 
+from pfaff import exterior_derivative_one_form, grid_is_zero
+
 R3 = NambuSpaceRk1(2).chart
 
 
 def basis_field(chart, idx):
-    return VectorField.coordinate(chart, idx)
+    return VectorField(chart, {idx: chart.constant(1)})
 
 
 # -- chart indexing ------------------------------------------------------
@@ -100,7 +100,7 @@ def test_differential_worked_example():
 
 def test_differential_of_constant_map():
     H = RkMap(R3, [R3.constant(4), R3.constant(-1)])
-    assert differential(H) == OneFormRk.zero(R3)
+    assert differential(H) == OneFormRk(R3, [[R3.zero()] * R3.dim] * R3.k)
 
 
 def test_differential_of_fiber_coordinates():
@@ -127,7 +127,7 @@ def test_interior_product_reads_matrix_rows():
     assert row[R3.variable_index("z")] == R3.constant(1)
     assert sum(1 for p in row if not p.is_zero) == 1
 
-    zero = interior_product(VectorField.zero(R3), theta1)
+    zero = interior_product(VectorField(R3), theta1)
     assert all(p.is_zero for p in zero)
 
     d_dy = basis_field(R3, R3.variable_index("y"))
@@ -179,7 +179,7 @@ def test_xi_pairing_examples():
     assert xi_pairing(dK, d_dz).is_zero
 
     beta = OneFormRk.basis(R3, 1, R3.variable_index("x"))
-    assert xi_pairing(beta, VectorField.zero(R3)).is_zero
+    assert xi_pairing(beta, VectorField(R3)).is_zero
     paired = xi_pairing(beta, basis_field(R3, R3.variable_index("x")))
     assert paired.comps[1] == R3.constant(1)
     assert paired.comps[0].is_zero

@@ -11,15 +11,27 @@ A consolidation that leaves a dead helper behind fails here too: every
 private module-level name (`_name`, not `__dunder__`) and every private
 method must be read somewhere in the package outside its own
 definition, as a plain name, an attribute or an imported name.
+
+Public code is held to the same rule: every public module-level
+function or class, and every public method or property of a class, must
+be read somewhere in the package outside its own definition.  A
+re-export from `__init__.py` is not a reader.  A name that nothing in
+the package reads stays only with a reason: an entry in `KEEP`, or a
+place in the benchmark tracer's lists of wrapped names.  Matching is by
+bare name, so a definition that shares its name with any other read
+attribute (`zero`, `dim`, `entries`) passes whether or not anything
+calls it; those need a look by hand.
 Standard library only.
 """
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polaris"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polaris"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
@@ -109,3 +121,84 @@ def test_a_dead_private_helper_is_found():
         "b.py": "from a import _SEEN\n",
     }
     assert dead_private_names(sources) == [("a.py", "_walk"), ("a.py", "_dead")]
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def public_definitions(tree):
+    """(qualified name, node) for each public module-level function or
+    class and each public method or property of a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _public(item.name):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unread_public_names(sources):
+    """`module.name` or `module.Class.name` of each public definition that
+    nothing else reads; `sources` maps module file names to their text."""
+    trees = {Path(module).stem: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in read_names(tree))
+    return [f"{module}.{qualified}" for module, tree in trees.items()
+            for qualified, node in public_definitions(tree)
+            if reads[node.name] <= Counter(read_names(node))[node.name]]
+
+
+def traced_names():
+    """Every name the benchmark tracer wraps, as `unread_public_names`
+    spells them; removing one of them is a change to the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return ({f"{module}.{name}" for module, name, _ in tracer.FUNCTIONS}
+            | {f"{module}.{cls}.{name}" for module, cls, name, _ in tracer.METHODS}
+            | {f"poly.Polynomial.{name}" for name, _ in tracer.POLY_METHODS})
+
+
+# Public names that nothing in the package reads, each with why it stays.
+KEEP = {
+    "dynamics.compare_flows": "acceptance criterion 10d compares the scaled flows",
+    "dynamics.Trajectory.final_state": "acceptance criteria 10a-c read the end state",
+    "dynamics.ConservationReport.max_drift": "acceptance criteria 10a-c bound the drift",
+    "geometry.Chart.coordinate": "acceptance criterion 10d builds its scale with it",
+    "hamiltonian.zeta": "README documents the duality X -> i(X) theta",
+    "hamiltonian.zeta_inverse": "README documents the duality's exact inverse",
+    "nambu.NambuSpaceRk1.coordinate_index": "acceptance criterion 8 reads z with it",
+    "nambu.NambuSpaceR3n.triple_indices": "acceptance criterion 9 reads z^i with it",
+}
+
+
+def package_sources():
+    return {path.name: path.read_text() for path in MODULES}
+
+
+def test_every_public_name_is_used():
+    allowed = KEEP.keys() | traced_names()
+    assert [name for name in unread_public_names(package_sources())
+            if name not in allowed] == []
+
+
+def test_an_unused_public_name_is_found():
+    source = ("def used(n):\n    return n\n"
+              "def unused(n):\n    return unused(n - 1) if n else used(n)\n"
+              "class C:\n    def read(self):\n        return 1\n"
+              "    @property\n    def size(self):\n        return self.read()\n"
+              "    def __len__(self):\n        return 0\n")
+    assert unread_public_names({"a.py": source}) == ["a.unused", "a.C", "a.C.size"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_a_planted_public_function_fails_the_rule(path):
+    sources = package_sources()
+    sources[path.name] += "\n\ndef planted_unused():\n    return 0\n"
+    assert f"{path.stem}.planted_unused" in unread_public_names(sources)
+
+
+def test_every_kept_name_is_defined_and_still_unread():
+    assert sorted(KEEP.keys() - set(unread_public_names(package_sources()))) == []

@@ -57,7 +57,7 @@ def levi_civita_field(H, space):
     run over the k! orderings of the complement of j: the definition the
     signed-minor field of `nambu_field_rk1` is checked against.
     """
-    dim = space.dim
+    dim = space.chart.dim
     grads = [[H[m].partial(space.coordinate_index(i)) for i in range(1, dim + 1)]
              for m in range(space.k)]
     comps = {}
@@ -355,7 +355,7 @@ def test_first_integrals_along_polarized_flow():
 def test_relation_reads_the_held_differential(monkeypatch, space):
     verify = (verify_relation_rk1 if isinstance(space, NambuSpaceRk1)
               else verify_relation_r3n)
-    pf = polarized_on(space, random.Random(space.dim))
+    pf = polarized_on(space, random.Random(space.chart.dim))
     pf.differential()
     calls = []
     partial = Polynomial.partial

@@ -47,10 +47,10 @@ def test_rational_coefficient_product():
 
 def test_coefficients_stay_normalized():
     p = Polynomial(3, {(1, 0, 0): Fraction(2, 4)})
-    coeff = p.coefficient((1, 0, 0))
+    coeff = p.terms[(1, 0, 0)]
     assert coeff == Fraction(1, 2)
     assert coeff.denominator > 0
-    assert Fraction(0) == Polynomial.zero(3).constant_value()
+    assert (0, 0, 0) not in Polynomial.zero(3).terms
 
 
 def test_zero_terms_dropped():
