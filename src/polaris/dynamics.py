@@ -88,8 +88,10 @@ def csv_format(var_names: Sequence[str], dim: int) -> tuple[str, str]:
 
 def _time_grid(t0: float, t1: float, h: float) -> Iterator[float]:
     """t0 + i*h while that stays short of t1, then t1 itself, which replaces
-    the last such time when it lies within rounding of t1.  The step
-    count is checked on the call; the times come one at a time."""
+    the last such time after t0 when it lies within rounding of t1: the
+    grid starts at t0 and lands on t1, so a span within rounding is one
+    short step.  The step count is checked on the call; the times come
+    one at a time."""
     span = t1 - t0
     estimated = span / h
     if estimated > MAX_STEPS:
@@ -97,7 +99,7 @@ def _time_grid(t0: float, t1: float, h: float) -> Iterator[float]:
     n_full = int(math.floor(estimated * (1.0 + 1e-12)))
     while t0 + n_full * h > t1:
         n_full -= 1
-    if t0 + n_full * h < t1 - 1e-12 * max(1.0, abs(t1)):
+    if not n_full or t0 + n_full * h < t1 - 1e-12 * max(1.0, abs(t1)):
         n_full += 1
     return itertools.chain((t0 + i * h for i in range(n_full)), (t1,))
 

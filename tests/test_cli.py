@@ -489,6 +489,23 @@ def test_integrate_nambu_flow_on_pole_free_span(demo, capsys):
             assert float(line.split("=")[1]) <= 1e-8
 
 
+@pytest.mark.parametrize("t0, t1, h", [("0", "1e-13", "1"),
+                                       ("5", "5.000000000001", "0.1")])
+def test_integrate_span_within_rounding_steps_from_t0(demo, capsys, tmp_path,
+                                                      t0, t1, h):
+    # t1 - t0 lies within the grid's rounding of t1: the grid is [t0, t1]
+    payload = {"space": "canonical", "n": 1, "k": 1,
+               "hamiltonians": {"H": ["q1*x1_1"]}}
+    out_csv = tmp_path / "g.csv"
+    code, out, _ = run(capsys, "integrate", demo(payload), "H", "--x0", "1,1",
+                       "--t0", t0, "--t1", t1, "--h", h, "--out", str(out_csv))
+    assert code == 0
+    assert "samples: 2" in out
+    rows = out_csv.read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in rows[1:]] == [float(t0), float(t1)]
+    assert rows[1].split(",")[1:] == ["1", "1"]
+
+
 def test_aborted_integration_keeps_the_rows_before_the_abort(demo, capsys,
                                                              tmp_path):
     # from z = 2 the nambu flow passes its pole at t = 1/2 and aborts at

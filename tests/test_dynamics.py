@@ -206,7 +206,7 @@ def reference_rk4(X, x0, t0, t1, h):
     while t0 + n_full * h > t1:
         n_full -= 1
     grid = [t0 + i * h for i in range(n_full + 1)]
-    if grid[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
+    if not n_full or grid[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
         grid.append(t1)
     else:
         grid[-1] = t1
@@ -269,6 +269,9 @@ def fields(draw):
     (VectorField(Chart(1, 1), {0: Polynomial(2, {(1, 1): Fraction(1, 2)}),
                                1: Polynomial(2, {(0, 0): -1})}), [0.5, -0.25]),
     0.0, 0.03, 31 / 3)
+@example(  # a span within the grid's rounding: one short step from t0
+    (VectorField(Chart(1, 1), {0: Polynomial(2, {(0, 1): 1})}), [1.0, 1.0]),
+    0.0, 0.1, 1e-12)
 def test_stream_matches_the_list_form_bit_for_bit(field, t0, h, steps):
     X, x0 = field
     t1 = t0 + steps * h
