@@ -486,7 +486,9 @@ def float_evaluator(polys: Sequence[Polynomial]):
     those locals.  `**` is a pure function of its operands, so every
     factor, product and sum has the bits it would have if each term
     raised its own powers; a power that overflows still raises
-    `OverflowError` in the same call.
+    `OverflowError` in the same call.  A first power is bound as `p[i]`
+    itself: `x**1` is `x` bit for bit, signed zeros, infinities and
+    subnormals included.
     """
     polys = list(polys)
     if len({poly.dim for poly in polys}) > 1:
@@ -510,7 +512,8 @@ def float_evaluator(polys: Sequence[Polynomial]):
             for i, e in enumerate(exps):
                 if e:
                     power = f"v{i:d}_{e:d}"
-                    powers[power] = f"{power} = p[{i:d}]**{e:d}"
+                    powers[power] = (f"{power} = p[{i:d}]" if e == 1
+                                     else f"{power} = p[{i:d}]**{e:d}")
                     factors += "*" + power
             body.append(f"t += {name}{factors}")
             used += 1

@@ -299,6 +299,9 @@ PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0xfff8000000000001))[0]
 @given(polynomials_and_point(), st.sampled_from([1, 3, poly_module.UNIT_TERMS]))
 @example(([Polynomial(3, {(1, 0, 0): 1, (0, 2, 1): Fraction(10**300)})],
           [PAYLOAD_NAN, 1e10, 0.0]), 1)
+@example(([Polynomial(3, {(1, 0, 0): 1}), Polynomial(3, {(0, 1, 0): -1}),
+           Polynomial(3, {(0, 0, 1): 2, (1, 0, 1): 1})],
+          [-0.0, float("inf"), 5e-324]), 1)  # first powers, bound without `**`
 def test_compiled_evaluation_matches_reference_bit_for_bit(case, unit_terms):
     polys, point = case
     expected = outcome(lambda: [reference_evaluate(p, point) for p in polys])
