@@ -37,6 +37,7 @@ from .hamiltonian import (
     decompose_polarized,
     hamiltonian_field,
     jacobi_check,
+    jacobi_residual,
     lie_bracket,
 )
 from .nambu import (
@@ -237,9 +238,9 @@ def pair_checks(label: str, a: PolarizedForm, b: PolarizedForm,
 def jacobi_result(label: str, a: PolarizedForm, b: PolarizedForm,
                   c: PolarizedForm, ab: PolarizedForm, bc: PolarizedForm,
                   ac: PolarizedForm) -> CheckResult:
-    """{ab,c} + {bc,a} + {ca,b} on the held ab = {a,b}, bc = {b,c}, ac = {a,c};
-    {ca,b} = -{ac,b} term by term, so the text is `jacobi_check(a, b, c)`'s."""
-    residual = bracket(ab, c) + bracket(bc, a) - bracket(ac, b)
+    """{ab,c} + {bc,a} + {ca,b} on the held ab = {a,b}, bc = {b,c}, ac = {a,c},
+    by the routine of `jacobi_check(a, b, c)`, so the text is its text."""
+    residual = jacobi_residual(a, b, c, ab, bc, ac)
     return CheckResult(f"jacobi[{label}]", residual.is_zero, residual.to_string())
 
 

@@ -27,13 +27,14 @@ from .poly import Polynomial
 class Chart:
     """Coordinate model for given (n, k); owns all variable indexing."""
 
-    __slots__ = ("n", "k", "_aliases", "_names", "_index_of")
+    __slots__ = ("n", "k", "dim", "_aliases", "_names", "_index_of")
 
     def __init__(self, n: int, k: int, aliases: Mapping[str, str] | None = None):
         if n < 1 or k < 1:
             raise ValueError("chart needs n >= 1 and k >= 1")
         self.n = n
         self.k = k
+        self.dim = n * (k + 1)
         names = []
         for p in range(1, k + 1):
             for i in range(1, n + 1):
@@ -55,10 +56,6 @@ class Chart:
         for alias, target in clean_aliases.items():
             index_of[alias] = index_of[target]
         self._index_of = index_of
-
-    @property
-    def dim(self) -> int:
-        return self.n * (self.k + 1)
 
     @property
     def var_names(self) -> tuple[str, ...]:

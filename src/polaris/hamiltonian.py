@@ -171,14 +171,41 @@ def hamiltonian_field(pf: PolarizedForm) -> VectorField:
     return VectorField(chart, comps)
 
 
-def _coordinate_component(dA: Sequence[Polynomial], dB: Sequence[Polynomial],
-                          chart: Chart, p: int) -> Polynomial:
-    """sum_s (dA/dx^s dB/dx^{ps} - dA/dx^{ps} dB/dx^s) for 1-based p, given
-    the rows of partials dA[j] = dA/dx^j and dB[j] = dB/dx^j."""
+def _coordinate_halves(dA: Sequence[Polynomial], dB: Sequence[Polynomial],
+                       chart: Chart, p: int):
+    """The pairs (dA/dx^s, dB/dx^{ps}) that {A,B}^p adds and the pairs
+    (dA/dx^{ps}, dB/dx^s) that it subtracts, for 1-based p, given the rows
+    of partials dA[j] = dA/dx^j and dB[j] = dB/dx^j."""
     pairs = list(zip(chart.leaf_indices, chart.fiber_block(p)))
-    return Polynomial.dot(chart.dim, chain(
-        ((dA[leaf], dB[fib]) for leaf, fib in pairs),
-        ((dA[fib], -dB[leaf]) for leaf, fib in pairs)))
+    return ([(dA[leaf], dB[fib]) for leaf, fib in pairs],
+            [(dA[fib], dB[leaf]) for leaf, fib in pairs])
+
+
+def bracket_sum(plus: Iterable[tuple[PolarizedForm, PolarizedForm]],
+                minus: Iterable[tuple[PolarizedForm, PolarizedForm]] = ()
+                ) -> RkMap:
+    """The sum of {H,K} over the pairs (H, K) of `plus` less the sum over
+    `minus`, by the coordinate formula: one `Polynomial.dot` per
+    component accumulates every product of every bracket in the sum."""
+    plus, minus = list(plus), list(minus)
+    chart = (plus or minus)[0][0].chart
+    if any(form.chart != chart for pair in chain(plus, minus) for form in pair):
+        raise ValueError("chart mismatch")
+    signed = [(H.differential().comps, K.differential().comps, negate)
+              for group, negate in ((plus, False), (minus, True))
+              for H, K in group]
+    comps = []
+    for p in range(1, chart.k + 1):
+        adds: list[tuple[Polynomial, Polynomial]] = []
+        subs: list[tuple[Polynomial, Polynomial]] = []
+        for dH, dK, negate in signed:
+            add, sub = _coordinate_halves(dH[p - 1], dK[p - 1], chart, p)
+            if negate:
+                add, sub = sub, add
+            adds += add
+            subs += sub
+        comps.append(Polynomial.dot(chart.dim, adds, subs))
+    return RkMap(chart, comps)
 
 
 def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
@@ -186,12 +213,7 @@ def bracket(H: PolarizedForm, K: PolarizedForm) -> RkMap:
 
     {H,K}^p = sum_s (dH^p/dx^s dK^p/dx^{ps} - dH^p/dx^{ps} dK^p/dx^s)
     """
-    if H.chart != K.chart:
-        raise ValueError("chart mismatch")
-    chart = H.chart
-    dH, dK = H.differential().comps, K.differential().comps
-    return RkMap(chart, [_coordinate_component(dH[p - 1], dK[p - 1], chart, p)
-                         for p in range(1, chart.k + 1)])
+    return bracket_sum(((H, K),))
 
 
 def theta_pairing(theta: TwoForm, X: VectorField,
@@ -274,19 +296,22 @@ class GeneralPoissonTensor:
         if alpha.chart != chart or beta.chart != chart:
             raise ValueError("chart mismatch")
 
-        def pairs(r):
-            # coeff * (a b - c d) as (coeff a) b + (-coeff c) d, the scaled
-            # factor built only when the other one is nonzero
+        def halves(r):
+            # coeff * (a b - c d) as (coeff a) b added and (coeff c) d
+            # subtracted, the scaled factor built only when the other one
+            # is nonzero
+            plus, minus = [], []
             for (i, j, p, q, s), coeff in self._entries.items():
                 if s == r:
                     a, b = alpha.entry(p, i), beta.entry(q, j)
                     if a and b:
-                        yield coeff * a, b
+                        plus.append((coeff * a, b))
                     c, d = beta.entry(p, i), alpha.entry(q, j)
                     if c and d:
-                        yield -coeff * c, d
+                        minus.append((coeff * c, d))
+            return plus, minus
 
-        return RkMap(chart, [Polynomial.dot(chart.dim, pairs(r))
+        return RkMap(chart, [Polynomial.dot(chart.dim, *halves(r))
                              for r in range(chart.k)])
 
     def __eq__(self, other):
@@ -314,14 +339,18 @@ def canonical_poisson_tensor(chart: Chart) -> GeneralPoissonTensor:
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X,Y]^j = sum_i (X^i dY^j/dx^i - Y^i dX^j/dx^i)."""
+    """[X,Y]^j = sum_i (X^i dY^j/dx^i - Y^i dX^j/dx^i), one accumulation
+    per component."""
     if X.chart != Y.chart:
         raise ValueError("chart mismatch")
     chart = X.chart
+    xs, ys = X.components(), Y.components()
     comps: dict[int, Polynomial] = {}
-    touched = {j for j, _ in X.components()} | {j for j, _ in Y.components()}
-    for j in sorted(touched):
-        value = X.apply_to(Y.component(j)) - Y.apply_to(X.component(j))
+    for j in sorted({j for j, _ in xs} | {j for j, _ in ys}):
+        xj, yj = X.component(j), Y.component(j)
+        value = Polynomial.dot(chart.dim,
+                               ((xi, yj.partial(i)) for i, xi in xs),
+                               ((yi, xj.partial(i)) for i, yi in ys))
         if not value.is_zero:
             comps[j] = value
     return VectorField(chart, comps)
@@ -366,8 +395,9 @@ def classical_bracket(H: Polynomial, K: Polynomial, chart: Chart) -> Polynomial:
     _require_k1(chart)
     if H.dim != chart.dim or K.dim != chart.dim:
         raise ValueError("polynomial dimension does not match the chart")
-    return _coordinate_component(differential(RkMap(chart, [H])).comps[0],
-                                 differential(RkMap(chart, [K])).comps[0], chart, 1)
+    return Polynomial.dot(chart.dim, *_coordinate_halves(
+        differential(RkMap(chart, [H])).comps[0],
+        differential(RkMap(chart, [K])).comps[0], chart, 1))
 
 
 # -- identity checks ---------------------------------------------------------
@@ -379,6 +409,14 @@ class JacobiReport:
     residual_text: str
 
 
+def jacobi_residual(a: PolarizedForm, b: PolarizedForm, c: PolarizedForm,
+                    ab: PolarizedForm, bc: PolarizedForm,
+                    ac: PolarizedForm) -> RkMap:
+    """{ab,c} + {bc,a} + {ca,b} given ab = {a,b}, bc = {b,c} and ac = {a,c}
+    decomposed; {ca,b} = -{ac,b} term by term, so it is one `bracket_sum`."""
+    return bracket_sum(((ab, c), (bc, a)), ((ac, b),))
+
+
 def jacobi_check(a, b, c, chart: Chart | None = None) -> JacobiReport:
     """Cyclic bracket sum; the residual must vanish identically.
 
@@ -386,10 +424,8 @@ def jacobi_check(a, b, c, chart: Chart | None = None) -> JacobiReport:
     plain polynomials run through the classical bracket.
     """
     if all(isinstance(x, PolarizedForm) for x in (a, b, c)):
-        ab = decompose_polarized(bracket(a, b))
-        bc = decompose_polarized(bracket(b, c))
-        ca = decompose_polarized(bracket(c, a))
-        residual = bracket(ab, c) + bracket(bc, a) + bracket(ca, b)
+        residual = jacobi_residual(a, b, c, *(decompose_polarized(bracket(x, y))
+                                              for x, y in ((a, b), (b, c), (a, c))))
         return JacobiReport(residual.is_zero, residual.to_string())
     if all(isinstance(x, Polynomial) for x in (a, b, c)):
         if chart is None:

@@ -97,10 +97,13 @@ def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         found = memo.get(cols)
         if found is None:
             row = matrix[size - len(cols)]
-            found = memo[cols] = Polynomial.dot(dim, (
-                (row[col] if pos % 2 == 0 else -row[col],
-                 minor(cols[:pos] + cols[pos + 1:]))
-                for pos, col in enumerate(cols) if row[col]))
+            # cofactors at even positions add, those at odd ones subtract
+            signed = ([], [])
+            for pos, col in enumerate(cols):
+                if row[col]:
+                    signed[pos % 2].append(
+                        (row[col], minor(cols[:pos] + cols[pos + 1:])))
+            found = memo[cols] = Polynomial.dot(dim, *signed)
         return found
 
     return minor(tuple(range(size)))

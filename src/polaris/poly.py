@@ -18,11 +18,17 @@ exponent vectors" (CASC 2007); with them and integer numerators the
 ring operations are int additions and multiplications, not tuple and
 `Fraction` arithmetic.
 
-Sums of products have one kernel, `Polynomial.dot`, and `*` is its
-one-pair case.  In the spirit of the same paper's merge of all the
+Signed sums of products have one kernel, `Polynomial.dot`, and `*` is
+its one-pair case.  In the spirit of the same paper's merge of all the
 products of a sum, every term pair of every product adds its numerator
-into one map, so a bracket, pairing or directional derivative never
-builds its products one by one.
+into one map, and a second group of pairs subtracts into the same map,
+so a bracket, pairing, Lie bracket or Jacobi sum never builds its
+products, their negations or their partial differences one by one.
+
+Zero costs nothing where it is common: `a - b` subtracts into one copy
+of `a`, and `partial` along a variable that no term involves returns
+zero without a scan, reading the OR of the packed keys that each
+polynomial takes on first use and then holds.
 
 The packed format stays inside this module.  Callers see exponent
 tuples and `Fraction` coefficients through `terms` and `ordered_terms`,
@@ -112,7 +118,8 @@ def _unpack(dim: int, m: int) -> tuple[int, ...]:
     return tuple(m >> s & _FIELD for s in _layout(dim)[0])
 
 
-def _mask(dim: int, variables: Iterable[int]) -> int:
+@lru_cache(maxsize=128)
+def _mask(dim: int, variables: tuple[int, ...]) -> int:
     """All bits of the fields of `variables`."""
     shifts = _layout(dim)[0]
     return sum(_FIELD << shifts[v] for v in variables)
@@ -140,7 +147,7 @@ def _canonical(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 class Polynomial:
     """Immutable sparse polynomial over `dim` variables."""
 
-    __slots__ = ("dim", "_num", "_den", "_hash")
+    __slots__ = ("dim", "_num", "_den", "_hash", "_support")
 
     def __init__(self, dim: int, terms: Mapping[tuple[int, ...], Coefficient] = ()):
         if dim < 1:
@@ -163,6 +170,7 @@ class Polynomial:
         self._num, self._den = _canonical(
             {m: p * (den // q) for m, (p, q) in ratios.items()}, den)
         self._hash = None
+        self._support = None
 
     # -- constructors ---------------------------------------------------
 
@@ -172,13 +180,19 @@ class Polynomial:
         # over the positive `den`, and reduces them to the canonical form
         self = object.__new__(cls)
         self.dim = dim
-        self._num, self._den = _canonical(num, den)
+        if den == 1:
+            self._num, self._den = num, 1
+        else:
+            self._num, self._den = _canonical(num, den)
         self._hash = None
+        self._support = None
         return self
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim)
+        if dim < 1:
+            raise ValueError("polynomial needs at least one variable")
+        return cls._make(dim, {}, 1)
 
     @classmethod
     def sum(cls, dim: int, polys: Iterable["Polynomial"]) -> "Polynomial":
@@ -221,49 +235,56 @@ class Polynomial:
         return cls._make(dim, {} if acc is None else acc, den)
 
     @classmethod
-    def dot(cls, dim: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]
+    def dot(cls, dim: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]],
+            minus: Iterable[tuple["Polynomial", "Polynomial"]] = ()
             ) -> "Polynomial":
-        """The sum of `a * b` over `pairs`, all over `dim` variables; `*`
-        delegates here.
+        """The sum of `a * b` over `pairs` less the sum of `a * b` over
+        `minus`, all over `dim` variables; `*` delegates here.
 
         Every term pair of every product adds its numerator straight into
         one map over the lcm of the products' denominators, so no product
-        is built on its own.  Pairs are read one at a time and skipped
-        when an operand is zero.  Keys are never deleted while the map is
-        filled: the cap check runs once over every key, and a product
-        past the cap raises even when its terms cancel, within it or
-        against other pairs.
+        is built on its own; a pair of `minus` folds its sign into the
+        scale of its rows, so no negated operand is built either.  Pairs
+        are read one at a time, `pairs` first, and skipped when an
+        operand is zero.  Keys are never deleted while the map is filled:
+        the cap check runs once over every key, and a product past the
+        cap raises even when its terms cancel, within it or against other
+        pairs of either group.
         """
         num: dict[int, int] = {}
         get = num.get
         den = 1
-        for a, b in pairs:
-            if a.dim != dim or b.dim != dim:
-                raise ValueError(f"dimension mismatch: {dim} vs "
-                                 f"{b.dim if a.dim == dim else a.dim}")
-            if not a._num or not b._num:
-                continue
-            d = a._den * b._den
-            up = 1
-            if not num:
-                den = d
-            elif d != den:
-                common = lcm(den, d)
-                if common != den:
-                    scale = common // den
-                    num = {m: c * scale for m, c in num.items()}
-                    get = num.get
-                    den = common
-                up = den // d
-            bterms = tuple(b._num.items())
-            for ma, ca in a._num.items():
-                ca *= up
-                for mb, cb in bterms:
-                    m = ma + mb
-                    num[m] = get(m, 0) + ca * cb
+        for sign, group in ((1, pairs), (-1, minus)):
+            for a, b in group:
+                if a.dim != dim or b.dim != dim:
+                    raise ValueError(f"dimension mismatch: {dim} vs "
+                                     f"{b.dim if a.dim == dim else a.dim}")
+                if not a._num or not b._num:
+                    continue
+                d = a._den * b._den
+                up = sign
+                if not num:
+                    den = d
+                elif d != den:
+                    common = lcm(den, d)
+                    if common != den:
+                        scale = common // den
+                        num = {m: c * scale for m, c in num.items()}
+                        get = num.get
+                        den = common
+                    up = sign * (den // d)
+                bterms = tuple(b._num.items())
+                for ma, ca in a._num.items():
+                    ca *= up
+                    for mb, cb in bterms:
+                        m = ma + mb
+                        num[m] = get(m, 0) + ca * cb
         _, bias, guard = _layout(dim)
-        if any((m + bias) & guard for m in num):
-            raise DegreeOverflowError(f"product exponent above cap {MAX_EXPONENT}")
+        # a plain loop: `any` over a generator takes about three times as
+        # long on the few keys that most calls fill
+        for m in num:
+            if (m + bias) & guard:
+                raise DegreeOverflowError(f"product exponent above cap {MAX_EXPONENT}")
         if 0 in num.values():
             num = {m: c for m, c in num.items() if c}
         return cls._make(dim, num, den)
@@ -272,7 +293,7 @@ class Polynomial:
     def constant(cls, dim: int, value: Coefficient) -> "Polynomial":
         p, q = _ratio(value)
         if dim < 1 or not p:
-            return cls(dim)
+            return cls.zero(dim)
         return cls._make(dim, {0: p}, q)
 
     @classmethod
@@ -300,10 +321,20 @@ class Polynomial:
         return tuple((_unpack(dim, m), Fraction(num[m], den))
                      for m in sorted(num, reverse=True))
 
+    def _involved(self) -> int:
+        """The OR of the packed keys: a field is nonzero exactly when some
+        term involves its variable.  Taken on first use and then held."""
+        support = self._support
+        if support is None:
+            support = 0
+            for m in self._num:
+                support |= m
+            self._support = support
+        return support
+
     def free_of(self, variables: Iterable[int]) -> bool:
         """True when no term involves any of `variables`."""
-        mask = _mask(self.dim, variables)
-        return not any(m & mask for m in self._num)
+        return not self._involved() & _mask(self.dim, tuple(variables))
 
     def split_linear(self, variables: Sequence[int], linear: Sequence[int]):
         """Split into `rest + sum_i x_linear[i] * parts[i]` in one pass.
@@ -317,7 +348,7 @@ class Polynomial:
         """
         dim, den = self.dim, self._den
         shifts = _layout(dim)[0]
-        mask = _mask(dim, variables)
+        mask = _mask(dim, tuple(variables))
         slot = {1 << shifts[v]: i for i, v in enumerate(linear)}
         rest: dict[int, int] = {}
         parts: list[dict[int, int]] = [{} for _ in linear]
@@ -355,11 +386,25 @@ class Polynomial:
                                 self._den)
 
     def __sub__(self, other) -> "Polynomial":
+        """`self - other`, subtracted into one copy of `self`'s map."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.dim, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        den = lcm(self._den, other._den)
+        up, down = den // self._den, den // other._den
+        num = ({m: c * up for m, c in self._num.items()} if up != 1
+               else dict(self._num))
+        get = num.get
+        for m, c in other._num.items():
+            total = get(m, 0) - c * down
+            if total:
+                num[m] = total
+            else:
+                del num[m]
+        return Polynomial._make(self.dim, num, den)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -392,6 +437,8 @@ class Polynomial:
         if not 0 <= var < self.dim:
             raise ValueError(f"variable index {var} out of range for dim {self.dim}")
         shift = _layout(self.dim)[0][var]
+        if not self._involved() >> shift & _FIELD:
+            return Polynomial._make(self.dim, {}, 1)
         unit = 1 << shift
         num: dict[int, int] = {}
         for m, c in self._num.items():

@@ -9,6 +9,7 @@ keeping exact arithmetic fast.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .geometry import Chart
@@ -20,9 +21,11 @@ DEFAULT_TRIALS = 100
 COEFF_RANGE = (-3, 3)
 
 
-def _monomials(dim: int, indices, max_degree: int):
+@lru_cache(maxsize=64)
+def _monomials(dim: int, indices, max_degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples over the given variable indices, ordered and
-    including the constant monomial."""
+    including the constant monomial; `indices` is hashable, and the
+    tuple is built once per arguments."""
     out = [tuple(0 for _ in range(dim))]
     for degree in range(1, max_degree + 1):
         for combo in combinations_with_replacement(indices, degree):
@@ -30,7 +33,7 @@ def _monomials(dim: int, indices, max_degree: int):
             for idx in combo:
                 exps[idx] += 1
             out.append(tuple(exps))
-    return out
+    return tuple(out)
 
 
 def _draw(rng: random.Random, chart: Chart, indices, degree: int) -> Polynomial:

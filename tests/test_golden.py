@@ -43,8 +43,10 @@ interpreter cannot move a byte of the output.  polaris needs only the
 standard library, so those interpreters need no test packages.
 
 The same verify runs also pin their work, counted in the kernel's own
-units rather than in seconds, so a change that adds term pairs or
-derivatives fails here whatever the host's speed.
+units rather than in seconds, so a change that adds term pairs,
+derivatives or built terms fails here whatever the host's speed.  The
+replay under other interpreters counts the same work and must find the
+same counts.
 """
 
 import glob
@@ -58,7 +60,6 @@ from pathlib import Path
 import pytest
 
 from polaris.cli import main
-from polaris.poly import Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -88,35 +89,77 @@ def test_verify_output_matches_golden(monkeypatch, capsys, stem, mode):
 
 
 # Work of the verify runs above, counted by the kernel's own units: term
-# pairs that `Polynomial.dot` (and so `*`) receives, sum of |a|*|b|;
-# `partial` calls; and those of them on the zero polynomial.  A change
-# that lowers a count lowers its pin; one that raises it says why.
-WORK_PINS = {"term_pairs": 409_465, "partial": 10_322, "partial_of_zero": 1_421}
+# pairs that `Polynomial.dot` (and so `*`) receives in both of its groups,
+# sum of |a|*|b|; `partial` calls; those of them on the zero polynomial;
+# and the terms written into the polynomials that `Polynomial._make`
+# builds.  A change that lowers a count lowers its pin; one that raises
+# it says why.
+WORK_PINS = {"term_pairs": 409_465, "partial": 10_322, "partial_of_zero": 1_421,
+             "terms_built": 108_921}
+WORK_JOBS = [(["verify", path, "--trials", "3"], exit_code)
+             for path, exit_code in INPUTS.values()]
 
-
-def test_verify_work_stays_under_its_pins(monkeypatch, capsys):
-    counts = dict.fromkeys(WORK_PINS, 0)
-    dot = Polynomial.dot.__func__
-    partial = Polynomial.partial
+# Source of `count_work(jobs)`, which runs `main(argv)` for each
+# (argv, exit code) job with counting wrappers on the kernel and returns
+# the exit codes and the counts.  This process and each child interpreter
+# of the golden replay run it, so their counts can be compared.
+COUNT_WORK = """
+def count_work(jobs):
+    import contextlib, io
+    from polaris.cli import main
+    from polaris.poly import Polynomial
+    counts = dict.fromkeys(("term_pairs", "partial", "partial_of_zero",
+                            "terms_built"), 0)
+    kernel = {name: Polynomial.__dict__[name] for name in ("dot", "_make", "partial")}
+    dot, make, partial = kernel["dot"].__func__, kernel["_make"].__func__, kernel["partial"]
 
     def counted(pairs):
         for a, b in pairs:
             counts["term_pairs"] += len(a.terms) * len(b.terms)
             yield a, b
 
+    def counted_dot(cls, dim, pairs, minus=()):
+        return dot(cls, dim, counted(pairs), counted(minus))
+
+    def counted_make(cls, dim, num, den):
+        counts["terms_built"] += len(num)
+        return make(cls, dim, num, den)
+
     def counted_partial(self, var):
         counts["partial"] += 1
         counts["partial_of_zero"] += self.is_zero
         return partial(self, var)
 
-    monkeypatch.setattr(Polynomial, "dot", classmethod(
-        lambda cls, dim, pairs: dot(cls, dim, counted(pairs))))
-    monkeypatch.setattr(Polynomial, "partial", counted_partial)
-    monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("POLARIS_SEED", raising=False)
-    for path, exit_code in INPUTS.values():
-        assert main(["verify", path, "--trials", "3"]) == exit_code
-    capsys.readouterr()
+    Polynomial.dot = classmethod(counted_dot)
+    Polynomial._make = classmethod(counted_make)
+    Polynomial.partial = counted_partial
+    codes = []
+    try:
+        for argv, _ in jobs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+    finally:
+        for name, raw in kernel.items():
+            setattr(Polynomial, name, raw)
+    return codes, counts
+"""
+_namespace: dict = {}
+exec(COUNT_WORK, _namespace)
+count_work = _namespace["count_work"]
+
+
+@pytest.fixture(scope="module")
+def work_here():
+    """(exit codes, counts) of the counted verify runs in this interpreter."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(ROOT)
+        patch.delenv("POLARIS_SEED", raising=False)
+        return count_work(WORK_JOBS)
+
+
+def test_verify_work_stays_under_its_pins(work_here):
+    codes, counts = work_here
+    assert codes == [exit_code for _, exit_code in WORK_JOBS]
     assert all(counts[name] <= pin for name, pin in WORK_PINS.items()), counts
 
 
@@ -147,8 +190,10 @@ def test_integrate_output_matches_golden(monkeypatch, capsys, tmp_path, case):
     assert (tmp_path / f"{case}.csv").read_bytes() == expected_csv
 
 
-# run in a child interpreter: each job chdirs, runs `main(argv)` with
-# stdout captured, and the child prints {job: [exit code, stdout]}
+# run in a child interpreter after COUNT_WORK: each job chdirs, runs
+# `main(argv)` with stdout captured, then the counted work jobs run from
+# the repository root, and the child prints
+# {"outputs": {job: [exit code, stdout]}, "work": [exit codes, counts]}
 REPLAY = """
 import contextlib, io, json, os, sys
 from polaris.cli import main
@@ -159,7 +204,9 @@ for name, (cwd, argv, _) in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     out[name] = [code, buf.getvalue()]
-sys.stdout.write(json.dumps(out))
+os.chdir(sys.argv[3])
+work = count_work(json.loads(sys.argv[2]))
+sys.stdout.write(json.dumps({"outputs": out, "work": work}))
 """
 
 
@@ -200,7 +247,7 @@ def other_pythons():
     return found
 
 
-def test_golden_outputs_match_under_other_pythons(tmp_path):
+def test_golden_outputs_match_under_other_pythons(tmp_path, work_here):
     pythons = other_pythons()
     if not pythons:
         pytest.skip("no other CPython >= 3.10 starts here")
@@ -222,11 +269,14 @@ def test_golden_outputs_match_under_other_pythons(tmp_path):
             jobs[f"{case}.integrate.txt"] = (
                 str(where), ["integrate", name, "H", *flags, "--out", f"{case}.csv"],
                 exit_code)
-        done = subprocess.run([exe, "-c", REPLAY, json.dumps(jobs)],
+        done = subprocess.run([exe, "-c", COUNT_WORK + REPLAY, json.dumps(jobs),
+                               json.dumps(WORK_JOBS), str(ROOT)],
                               capture_output=True, text=True, env=env,
                               timeout=300)
         assert done.returncode == 0, (exe, done.stderr)
-        outputs = json.loads(done.stdout)
+        replayed = json.loads(done.stdout)
+        assert replayed["work"] == list(work_here), exe
+        outputs = replayed["outputs"]
         for name, (_, _, exit_code) in jobs.items():
             code, text = outputs[name]
             assert code == exit_code, (exe, name)

@@ -17,6 +17,7 @@ from polaris.hamiltonian import (
     NotPolarized,
     PolarizedForm,
     bracket,
+    bracket_sum,
     bracket_via_theta,
     canonical_poisson_tensor,
     classical_bracket,
@@ -172,15 +173,17 @@ def test_bad_field_is_caught_by_the_duality_check(monkeypatch):
 def test_checks_bracket_each_pair_once(monkeypatch):
     # {b,a} is read off {a,b}, and Jacobi reads the held inner brackets:
     # the named triple adds its three outer brackets, and a random trial
-    # brackets {a,b}, {b,c}, {a,c} and the three outer ones
+    # brackets {a,b}, {b,c}, {a,c} and the three outer ones.  Every
+    # bracket, and every Jacobi sum, is one `bracket_sum`, so the pairs
+    # it receives in both groups are the pairs bracketed
     calls = []
 
-    def counted(a, b):
-        calls.append((a, b))
-        return bracket(a, b)
+    def counted(plus, minus=()):
+        plus, minus = list(plus), list(minus)
+        calls.extend(plus + minus)
+        return bracket_sum(plus, minus)
 
-    monkeypatch.setattr(checks, "bracket", counted)
-    monkeypatch.setattr(hamiltonian, "bracket", counted)
+    monkeypatch.setattr(hamiltonian, "bracket_sum", counted)
     results = checks.run_suite(R3, {"H": H_MAP, "K": K_MAP, "L": L_MAP},
                                trials=4)
     assert all(r.passed for r in results)
@@ -195,22 +198,22 @@ def test_jacobi_on_held_brackets_matches_jacobi_check(monkeypatch, n, k, scale):
     # s{H,K} with a basic s is bilinear and antisymmetric but, once n >= 2,
     # breaks Jacobi, so the compared residual texts are not all zero; with
     # one leaf each component is a bracket in two variables, which always
-    # satisfies Jacobi
+    # satisfies Jacobi.  Inner and outer brackets both go through
+    # `bracket_sum`, so the scale reaches all six on both sides
     chart = Chart(n, k)
     s = Polynomial.constant(chart.dim, 1)
     if scale == "basic":
         s = s + Polynomial.variable(chart.dim, chart.leaf_index(1))
 
-    def scaled(a, b):
-        return s * bracket(a, b)
+    def scaled(plus, minus=()):
+        return s * bracket_sum(plus, minus)
 
-    monkeypatch.setattr(checks, "bracket", scaled)
-    monkeypatch.setattr(hamiltonian, "bracket", scaled)
+    monkeypatch.setattr(hamiltonian, "bracket_sum", scaled)
     rng = random.Random(f"held-jacobi:{n}:{k}")
     texts = set()
     for _ in range(3):
         a, b, c = (random_polarized(rng, chart, 1) for _ in range(3))
-        ab, bc, ac = (decompose_polarized(scaled(x, y))
+        ab, bc, ac = (decompose_polarized(scaled([(x, y)]))
                       for x, y in ((a, b), (b, c), (a, c)))
         held = checks.jacobi_result("t", a, b, c, ab, bc, ac)
         report = jacobi_check(a, b, c)

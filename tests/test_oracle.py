@@ -150,6 +150,13 @@ def test_dot_matches_sympy(case):
     total = Polynomial.dot(chart.dim, iter(pairs))
     assert same(total, expected)
     assert total == Polynomial(chart.dim, total.terms)
+    # the minus half: the first pair added, the others subtracted
+    signed = RINGS[chart.dim].zero
+    for i, (a, b) in enumerate(pairs):
+        signed += (1 if i == 0 else -1) * to_sympy(a) * to_sympy(b)
+    total = Polynomial.dot(chart.dim, iter(pairs[:1]), iter(pairs[1:]))
+    assert same(total, signed)
+    assert total == Polynomial(chart.dim, total.terms)
 
 
 def test_sum_rejects_a_dimension_mismatch():

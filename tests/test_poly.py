@@ -64,6 +64,33 @@ def test_partial_examples():
     assert (X ** 3).partial(0) == 3 * X * X
 
 
+@pytest.mark.parametrize("dim", [1, 12, 64])
+def test_partial_along_an_absent_variable_is_zero(dim):
+    last = dim - 1
+    x0, xl = Polynomial.variable(dim, 0), Polynomial.variable(dim, last)
+    three = Polynomial.constant(dim, 3)
+    assert three.partial(0).is_zero and three.partial(last).is_zero
+    assert Polynomial.zero(dim).partial(last).is_zero
+    if dim == 1:
+        assert (x0 * x0 + three).partial(0) == 2 * x0
+        return
+    # x0^2 xl + 3 xl + x0 - xl^2: both ends involved, in every term or
+    # in one, none between; every partial reads the mask held since the
+    # first, so ask in several orders
+    p = x0 * x0 * xl + three * xl + x0 - xl * xl
+    for var in (1, 0, last, last // 2, 0, last - 1, last):
+        expected = {0: 2 * x0 * xl + 1, last: x0 * x0 + three - 2 * xl}.get(
+            var, Polynomial.zero(dim))
+        assert p.partial(var) == expected
+    # each term involves one end only
+    assert (x0 + xl).partial(0) == 1 and (x0 + xl).partial(last) == 1
+    only_first, only_last = x0 * x0 * x0, xl * Fraction(1, 2)
+    assert only_first.partial(last).is_zero
+    assert only_first.partial(0) == 3 * x0 * x0
+    assert only_last.partial(0).is_zero
+    assert only_last.partial(last) == Polynomial.constant(dim, Fraction(1, 2))
+
+
 def test_partial_index_out_of_range():
     with pytest.raises(ValueError):
         X.partial(3)
@@ -153,8 +180,55 @@ def test_dot_rejects_a_dimension_mismatch():
     for pair in [(X, Polynomial.variable(2, 0)), (Polynomial.variable(4, 0), X)]:
         with pytest.raises(ValueError, match="dimension mismatch"):
             Polynomial.dot(3, [(X, Y), pair])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Polynomial.dot(3, [(X, Y)], [pair])
     with pytest.raises(ValueError, match="dimension mismatch"):
         Polynomial.dot(2, [(X, Y)])
+
+
+# -- signed sum of products ------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_over_one_dim(), st.integers(0, 6))
+@example((3, []), 0)
+@example((3, [(X, Y)]), 0)
+@example((3, [(ONE * Fraction(1, 2), X), (ZERO, Y), (X, Y),
+              (ONE * Fraction(2, 3), Y)]), 2)
+def test_signed_dot_is_the_difference_of_the_two_sums(case, cut):
+    dim, pairs = case
+    plus, minus = pairs[:cut], pairs[cut:]
+    expected = Polynomial.dot(dim, plus) - Polynomial.dot(dim, minus)
+    total = Polynomial.dot(dim, iter(plus), iter(minus))
+    assert total == expected and hash(total) == hash(expected)
+    assert total == Polynomial(dim, total.terms)
+    assert Polynomial.dot(dim, [], pairs) == -Polynomial.dot(dim, pairs)
+    assert Polynomial.dot(dim, pairs, pairs).is_zero
+
+
+def test_signed_dot_cap_check_sees_a_product_cancelled_by_minus():
+    x20 = Polynomial.variable(3, 0) ** 20
+    # the product past the cap cancels against the same product subtracted
+    with pytest.raises(DegreeOverflowError):
+        Polynomial.dot(3, [(x20, x20)], [(x20, x20)])
+    with pytest.raises(DegreeOverflowError):
+        Polynomial.dot(3, [(ONE, ONE)], [(x20, x20), (-x20, x20)])
+    at_cap = Polynomial.variable(3, 0) ** 16
+    assert Polynomial.dot(3, [(at_cap, at_cap)], [(at_cap, at_cap)]).is_zero
+
+
+def test_difference_leaves_its_operands_unchanged():
+    rng = random.Random(23)
+    for _ in range(60):
+        # mixed denominators on both sides
+        a = rand_poly(rng) * Fraction(rng.randint(1, 4), rng.randint(1, 6))
+        b = rand_poly(rng) * Fraction(1, rng.randint(1, 6))
+        before = dict(a.terms), dict(b.terms)
+        difference = a - b
+        assert (dict(a.terms), dict(b.terms)) == before
+        expected = a + (-b)
+        assert difference == expected and hash(difference) == hash(expected)
+        assert (a - a).is_zero and a - ZERO == a and ZERO - b == -b
 
 
 def test_degree_cap():
