@@ -88,17 +88,23 @@ def structure_checks(structure: KSymplecticStructure) -> list[CheckResult]:
 # -- per-map identities -------------------------------------------------------
 
 
+def _first_nonzero(name: str, chart: Chart, candidates) -> CheckResult:
+    """Passes when every poly of the `(poly, details)` candidates is zero;
+    else reports the first nonzero one with its details.  The candidates
+    are read lazily and in order."""
+    for poly, details in candidates:
+        if not poly.is_zero:
+            return CheckResult(name, False, poly.to_string(chart.var_names),
+                               details)
+    return CheckResult(name, True)
+
+
 def duality_check(name: str, rows, dH: OneFormRk) -> CheckResult:
     """i(X_H)theta^p = -dH^p, given the rows i(X_H)theta^p and dH."""
     chart = dH.chart
-    for p, row in enumerate(rows):
-        for j in range(chart.dim):
-            delta = row[j] + dH.entry(p, j)
-            if not delta.is_zero:
-                return CheckResult(f"duality[{name}]", False,
-                                   delta.to_string(chart.var_names),
-                                   f"component {p + 1}, dx^{chart.var_name(j)}")
-    return CheckResult(f"duality[{name}]", True)
+    return _first_nonzero(f"duality[{name}]", chart, (
+        (row[j] + dH.entry(p, j), f"component {p + 1}, dx^{chart.var_name(j)}")
+        for p, row in enumerate(rows) for j in range(chart.dim)))
 
 
 def closed_pfaff_check(name: str, rows, chart: Chart) -> CheckResult:
@@ -107,15 +113,10 @@ def closed_pfaff_check(name: str, rows, chart: Chart) -> CheckResult:
     # decides the check, and its first nonzero entry in row-major order
     # lies there: a nonzero (i, j) below the diagonal has a nonzero mirror
     # (j, i) in the earlier row j
-    for p, row in enumerate(rows):
-        entries = (row[j].partial(i) - row[i].partial(j)
-                   for i in range(chart.dim) for j in range(i + 1, chart.dim))
-        witness = next((poly for poly in entries if not poly.is_zero), None)
-        if witness is not None:
-            return CheckResult(f"closed-pfaff[{name}]", False,
-                               witness.to_string(chart.var_names),
-                               f"form {p + 1}")
-    return CheckResult(f"closed-pfaff[{name}]", True)
+    return _first_nonzero(f"closed-pfaff[{name}]", chart, (
+        (row[j].partial(i) - row[i].partial(j), f"form {p + 1}")
+        for p, row in enumerate(rows)
+        for i in range(chart.dim) for j in range(i + 1, chart.dim)))
 
 
 def first_integral_check(name: str, X: VectorField, dH: OneFormRk) -> CheckResult:
@@ -316,13 +317,6 @@ def classical_checks(chart: Chart, seed: int, trials: int) -> list[CheckResult]:
 # -- Nambu relations ------------------------------------------------------------
 
 
-def _first_nonzero(name: str, chart: Chart, polys) -> CheckResult:
-    """Passes when every poly is zero; else reports the first nonzero one."""
-    witness = next((poly for poly in polys if not poly.is_zero), None)
-    return CheckResult(name, witness is None, "0" if witness is None
-                       else witness.to_string(chart.var_names))
-
-
 def _relation_checks(kind: str, rate: str, verify,
                      space: NambuSpaceRk1 | NambuSpaceR3n,
                      polarized: Mapping[str, PolarizedForm]) -> list[CheckResult]:
@@ -336,7 +330,8 @@ def _relation_checks(kind: str, rate: str, verify,
         out.append(CheckResult(f"nambu.relation-{kind}[{name}]", report.passed,
                                report.residual_text()))
         out.append(_first_nonzero(f"nambu.{rate}[{name}]", chart, (
-            report.lhs.component(chart.leaf_index(i)) - (-f ** k if k % 2 else f ** k)
+            (report.lhs.component(chart.leaf_index(i))
+             - (-f ** k if k % 2 else f ** k), "")
             for i, f in enumerate(pf.f, start=1))))
     return out
 
@@ -373,7 +368,7 @@ def nambu_r3n_checks(space: NambuSpaceR3n, named: Mapping[str, RkMap],
     fields = {name: nambu_field_r3n(H[0], H[1], space)
               for name, H in named.items()}
     out = [_first_nonzero(f"nambu.first-integrals[{name}]", space.chart,
-                          map(fields[name].apply_to, H.comps))
+                          ((fields[name].apply_to(comp), "") for comp in H.comps))
            for name, H in named.items()]
     out.extend(_relation_checks("r3n", "z-rate", verify_relation_r3n,
                                 space, polarized))

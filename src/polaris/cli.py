@@ -34,20 +34,12 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 from .checks import run_suite
-from .dynamics import (
-    BLOWUP_LIMIT,
-    MAX_STEPS,
-    BlowUpError,
-    conservation_report,
-    csv_format,
-    rk4_stream,
-)
+from .dynamics import BlowUpError, conservation_report, csv_format, rk4_stream
 from .geometry import Chart, RkMap
 from .hamiltonian import (
     GeneralPoissonTensor,
@@ -427,8 +419,6 @@ def cmd_integrate(args) -> int:
         x0 = [_float_arg(v, "x0") for v in tasks["x0"]]
     else:
         raise ProblemError("no initial state: pass --x0 or set tasks.x0")
-    if len(x0) != problem.chart.dim:
-        raise ProblemError(f"initial state needs {problem.chart.dim} components")
     t0 = _float_arg(args.t0 if args.t0 is not None else tasks.get("t0", 0.0), "t0")
     t1_raw = args.t1 if args.t1 is not None else tasks.get("t1")
     if t1_raw is None:
@@ -438,20 +428,6 @@ def cmd_integrate(args) -> int:
     if h_raw is None:
         raise ProblemError("no step size: pass --h or set tasks.h")
     h = _float_arg(h_raw, "h")
-    if not all(math.isfinite(v) for v in (t0, t1, h, *x0)):
-        raise ProblemError("t0, t1, h and x0 must be finite")
-    if any(abs(v) > BLOWUP_LIMIT for v in x0):
-        raise ProblemError(f"x0 components must lie within {BLOWUP_LIMIT:g}")
-    if not h > 0:
-        raise ProblemError("step size must be positive")
-    if not t1 > t0:
-        raise ProblemError("t1 must exceed t0")
-    if (t1 - t0) / h > MAX_STEPS:
-        raise ProblemError(f"more than {MAX_STEPS} steps requested")
-    # each grid time t0 + i*h rounds by at most 1.5 ulp of max(|t0|, |t1|),
-    # so a step above 3 such ulp keeps the grid strictly increasing
-    if h <= 3 * math.ulp(max(abs(t0), abs(t1))):
-        raise ProblemError("step size is below the float resolution of t0..t1")
     # a path that can never be opened is refused before the field is
     # built; opening it, just before stepping, reports whatever else it meets
     if args.out:
@@ -465,6 +441,10 @@ def cmd_integrate(args) -> int:
         X = _polarized_field(problem, H)
     else:
         X = _nambu_field(problem, H)
+    try:
+        stream = rk4_stream(X, x0, t0, t1, h)
+    except ValueError as exc:
+        raise ProblemError(str(exc)) from None
 
     x0_text = "(" + ", ".join(f"{v:.17g}" for v in x0) + ")"
     report, lines = _report("integrate", problem)
@@ -478,7 +458,7 @@ def cmd_integrate(args) -> int:
     def rows_written(handle):
         """The stream's states, each once its CSV row is in `handle`, if any."""
         nonlocal samples
-        for t, state in rk4_stream(X, x0, t0, t1, h):
+        for t, state in stream:
             if handle is not None:
                 handle.write(row % (t, *state))
             samples += 1

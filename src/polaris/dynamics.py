@@ -90,12 +90,22 @@ def _time_grid(t0: float, t1: float, h: float) -> Iterator[float]:
     """t0 + i*h while that stays short of t1, then t1 itself, which replaces
     the last such time after t0 when it lies within rounding of t1: the
     grid starts at t0 and lands on t1, so a span within rounding is one
-    short step.  The step count is checked on the call; the times come
+    short step.  The span and step are checked on the call; the times come
     one at a time."""
+    if not all(math.isfinite(v) for v in (t0, t1, h)):
+        raise ValueError("t0, t1 and h must be finite")
+    if not h > 0:
+        raise ValueError("step size must be positive")
+    if not t1 > t0:
+        raise ValueError("t1 must exceed t0")
     span = t1 - t0
     estimated = span / h
     if estimated > MAX_STEPS:
         raise ValueError(f"more than {MAX_STEPS} steps requested")
+    # each grid time t0 + i*h rounds by at most 1.5 ulp of max(|t0|, |t1|),
+    # so a step above 3 such ulp keeps the grid strictly increasing
+    if h <= 3 * math.ulp(max(abs(t0), abs(t1))):
+        raise ValueError("step size is below the float resolution of t0..t1")
     n_full = int(math.floor(estimated * (1.0 + 1e-12)))
     while t0 + n_full * h > t1:
         n_full -= 1
@@ -152,26 +162,25 @@ def rk4_stream(X: VectorField, x0: Sequence[float], t0: float, t1: float,
     stream of `(t, state)`: the initial state first, then each state as
     soon as its step is accepted.
 
-    The arguments are checked on the call.  The last grid point lands
-    exactly on t1.  The stream stops with BlowUpError once any component
-    passes the magnitude guard, and with OverflowError when the field's
-    evaluation overflows.
+    The arguments are checked on the call, and the field is compiled when
+    the first state is drawn.  The last grid point lands exactly on t1.
+    The stream stops with BlowUpError once any component passes the
+    magnitude guard, and with OverflowError when the field overflows.
     """
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    if not t1 > t0:
-        raise ValueError("time span must be forward")
     dim = X.chart.dim
     if len(x0) != dim:
         raise ValueError(f"initial state needs {dim} components")
+    state = tuple(float(v) for v in x0)
+    if not all(abs(v) <= BLOWUP_LIMIT for v in state):  # also catches NaN
+        raise ValueError(f"x0 components must be finite and lie within "
+                         f"{BLOWUP_LIMIT:g}")
+    return _steps(X, _time_grid(t0, t1, h), state)
 
+
+def _steps(X: VectorField, grid: Iterator[float], state: tuple[float, ...]):
+    dim = len(state)
     rhs = float_evaluator([X.component(i) for i in range(dim)])
-    grid = _time_grid(t0, t1, h)
     step = _step_maker(dim)(rhs, BLOWUP_LIMIT)
-    return _steps(step, grid, tuple(float(v) for v in x0))
-
-
-def _steps(step, grid: Iterator[float], state: tuple[float, ...]):
     t_now = next(grid)
     yield t_now, state
     for t_next in grid:
@@ -245,7 +254,7 @@ def compare_flows(Xa: VectorField, Xb: VectorField, scale: Polynomial,
                   x0: Sequence[float], t0: float, t1: float,
                   h: float) -> FlowComparison:
     """Integrate Xa and measure ||Xa(s) - scale(s) Xb(s)||_inf at every
-    sample of its trajectory.
+    sample of its trajectory, as each state is stepped.
 
     The scale must stay away from zero along that trajectory; hitting
     zero or changing sign between samples raises ScaleVanishedError with
@@ -255,7 +264,6 @@ def compare_flows(Xa: VectorField, Xb: VectorField, scale: Polynomial,
         raise ValueError("chart mismatch")
     if scale.dim != Xa.chart.dim:
         raise ValueError("scale dimension does not match the chart")
-    traj_a = rk4_integrate(Xa, x0, t0, t1, h)
     dim = Xa.chart.dim
     scale_at = float_evaluator([scale])
     field_a = float_evaluator([Xa.component(i) for i in range(dim)])
@@ -263,7 +271,7 @@ def compare_flows(Xa: VectorField, Xb: VectorField, scale: Polynomial,
     worst = 0.0
     worst_rel = 0.0
     previous_sign = None
-    for t, state in zip(traj_a.times, traj_a.states):
+    for t, state in rk4_stream(Xa, x0, t0, t1, h):
         s = scale_at(state)[0]
         sign = math.copysign(1.0, s) if s else 0.0
         if s == 0.0 or (previous_sign is not None and sign != previous_sign):

@@ -27,7 +27,8 @@ from .poly import Polynomial
 class Chart:
     """Coordinate model for given (n, k); owns all variable indexing."""
 
-    __slots__ = ("n", "k", "dim", "_aliases", "_names", "_index_of")
+    __slots__ = ("n", "k", "dim", "var_names", "leaf_indices", "fiber_indices",
+                 "_aliases", "_index_of")
 
     def __init__(self, n: int, k: int, aliases: Mapping[str, str] | None = None):
         if n < 1 or k < 1:
@@ -35,13 +36,15 @@ class Chart:
         self.n = n
         self.k = k
         self.dim = n * (k + 1)
+        self.leaf_indices = tuple(range(k * n, self.dim))
+        self.fiber_indices = tuple(range(k * n))
         names = []
         for p in range(1, k + 1):
             for i in range(1, n + 1):
                 names.append(f"x{p}_{i}")
         for i in range(1, n + 1):
             names.append(f"q{i}")
-        self._names = tuple(names)
+        self.var_names = tuple(names)
         index_of = {name: idx for idx, name in enumerate(names)}
         clean_aliases = {}
         for alias, target in dict(aliases or {}).items():
@@ -57,10 +60,6 @@ class Chart:
             index_of[alias] = index_of[target]
         self._index_of = index_of
 
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return self._names
-
     def fiber_index(self, p: int, i: int) -> int:
         if not (1 <= p <= self.k and 1 <= i <= self.n):
             raise ValueError(f"fiber variable ({p},{i}) out of range")
@@ -71,19 +70,11 @@ class Chart:
             raise ValueError(f"leaf variable {i} out of range")
         return self.k * self.n + (i - 1)
 
-    @property
-    def leaf_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.k * self.n, self.dim))
-
-    @property
-    def fiber_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.k * self.n))
-
     def fiber_block(self, p: int) -> tuple[int, ...]:
         return tuple(self.fiber_index(p, i) for i in range(1, self.n + 1))
 
     def var_name(self, idx: int) -> str:
-        return self._names[idx]
+        return self.var_names[idx]
 
     def variable_index(self, name: str) -> int:
         return self._index_of[name]

@@ -27,8 +27,8 @@ products, their negations or their partial differences one by one.
 
 Zero costs nothing where it is common: `a - b` subtracts into one copy
 of `a`, and `partial` along a variable that no term involves returns
-zero without a scan, reading the OR of the packed keys that each
-polynomial takes on first use and then holds.
+the shared zero of its `dim` without a scan, reading the OR of the
+packed keys that each polynomial takes on first use and then holds.
 
 The packed format stays inside this module.  Callers see exponent
 tuples and `Fraction` coefficients through `terms` and `ordered_terms`,
@@ -147,7 +147,7 @@ def _canonical(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 class Polynomial:
     """Immutable sparse polynomial over `dim` variables."""
 
-    __slots__ = ("dim", "_num", "_den", "_hash", "_support")
+    __slots__ = ("dim", "_num", "_den", "_support")
 
     def __init__(self, dim: int, terms: Mapping[tuple[int, ...], Coefficient] = ()):
         if dim < 1:
@@ -169,7 +169,6 @@ class Polynomial:
         self.dim = dim
         self._num, self._den = _canonical(
             {m: p * (den // q) for m, (p, q) in ratios.items()}, den)
-        self._hash = None
         self._support = None
 
     # -- constructors ---------------------------------------------------
@@ -184,12 +183,13 @@ class Polynomial:
             self._num, self._den = num, 1
         else:
             self._num, self._den = _canonical(num, den)
-        self._hash = None
         self._support = None
         return self
 
     @classmethod
+    @lru_cache(maxsize=128)
     def zero(cls, dim: int) -> "Polynomial":
+        """One shared zero per `dim`; no operation writes into an operand's map."""
         if dim < 1:
             raise ValueError("polynomial needs at least one variable")
         return cls._make(dim, {}, 1)
@@ -438,7 +438,7 @@ class Polynomial:
             raise ValueError(f"variable index {var} out of range for dim {self.dim}")
         shift = _layout(self.dim)[0][var]
         if not self._involved() >> shift & _FIELD:
-            return Polynomial._make(self.dim, {}, 1)
+            return Polynomial.zero(self.dim)
         unit = 1 << shift
         num: dict[int, int] = {}
         for m, c in self._num.items():
@@ -468,9 +468,7 @@ class Polynomial:
                 and self._num == other._num)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, self._den, frozenset(self._num.items())))
-        return self._hash
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def __bool__(self) -> bool:
         return bool(self._num)

@@ -290,7 +290,14 @@ def test_stream_checks_its_arguments_on_the_call():
     calls = [(X_H, (1.0, 1.0, 1.0), 0.0, 1.0, 0.0),
              (X_H, (1.0, 1.0, 1.0), 1.0, 0.0, 0.1),
              (X_H, (1.0, 1.0), 0.0, 1.0, 0.1),
-             (X_H, (1.0, 1.0, 1.0), 0.0, 2.0, 1e-9)]
+             (X_H, (1.0, 1.0, 1.0), 0.0, 2.0, 1e-9),
+             # a step below the float resolution of t0..t1 repeats grid times
+             (X_H, (1.0, 1.0, 1.0), 1e6, 1e6 + 1e-9, 5e-11)]
+    calls += [(X_H, (1.0, 1.0, 1.0), *span)
+              for bad in (math.inf, -math.inf, math.nan)
+              for span in ((bad, 1.0, 0.1), (0.0, bad, 0.1), (0.0, 1.0, bad))]
+    calls += [(X_H, (bad, 1.0, 1.0), 0.0, 1.0, 0.1)
+              for bad in (math.nan, math.inf, 1e13)]
     for args in calls:
         with pytest.raises(ValueError):
             rk4_stream(*args)

@@ -71,6 +71,15 @@ def test_partial_along_an_absent_variable_is_zero(dim):
     three = Polynomial.constant(dim, 3)
     assert three.partial(0).is_zero and three.partial(last).is_zero
     assert Polynomial.zero(dim).partial(last).is_zero
+    # the zero along an absent variable is the one shared zero of its dim,
+    # and no operation on it writes into it
+    zero = three.partial(0)
+    assert zero is Polynomial.zero(dim)
+    results = [zero + x0, x0 + zero, zero - x0, x0 - zero, -zero, zero * x0,
+               zero * 2, Polynomial.sum(dim, [zero, x0, three]),
+               Polynomial.dot(dim, [(zero, x0), (x0, x0)], [(x0, zero)])]
+    assert results[-1] == x0 * x0 and results[2] == -x0
+    assert zero.is_zero and not zero.terms and zero._den == 1
     if dim == 1:
         assert (x0 * x0 + three).partial(0) == 2 * x0
         return
