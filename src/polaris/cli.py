@@ -228,16 +228,6 @@ def load_problem(path: str) -> Problem:
 # -- report rendering ---------------------------------------------------------
 
 
-def _report(command: str, problem: Problem) -> tuple[dict, list[str]]:
-    """The leading keys of the JSON report and the first line of the text
-    report, the same for every command."""
-    chart = problem.chart
-    return ({"command": command, "file": problem.path,
-             "space": problem.space_kind,
-             "chart": {"n": chart.n, "k": chart.k, "dim": chart.dim}},
-            [f"polaris {command} {problem.path}"])
-
-
 def _space_line(problem: Problem) -> str:
     chart = problem.chart
     return (f"space: {problem.space_kind}  chart: n={chart.n} k={chart.k} "
@@ -265,7 +255,7 @@ def _fail(message: str) -> int:
 
 
 def _resolve_seed(args, problem: Problem) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("POLARIS_SEED")
     if env is not None:
@@ -276,8 +266,9 @@ def _resolve_seed(args, problem: Problem) -> int:
     return problem.tasks.get("seed", DEFAULT_SEED)
 
 
-def _fg_text(pf, names) -> tuple[str, str]:
+def _fg_text(pf) -> tuple[str, str]:
     """The "(f_1, ..., f_n)" and "(g^1, ..., g^k)" texts of a polarized form."""
+    names = pf.chart.var_names
     return tuple("(" + ", ".join(p.to_string(names) for p in polys) + ")"
                  for polys in (pf.f, pf.g))
 
@@ -290,12 +281,12 @@ def _map_or_error(problem: Problem, name: str) -> RkMap:
 
 
 # -- commands -----------------------------------------------------------------
+#
+# `main` loads the problem, opens the report and emits it; a command only
+# appends to the JSON `report` and the text `lines` and returns 0 or 1.
 
 
-def cmd_validate(args) -> int:
-    problem = load_problem(args.file)
-    names = problem.chart.var_names
-    report, lines = _report("validate", problem)
+def cmd_validate(args, problem: Problem, report: dict, lines: list[str]) -> int:
     lines.append(_space_line(problem))
     maps_payload = []
     for name, H in problem.hamiltonians.items():
@@ -306,46 +297,39 @@ def cmd_validate(args) -> int:
             maps_payload.append({"name": name, "polarized": False,
                                  "reason": str(exc)})
             continue
-        f_text, g_text = _fg_text(pf, names)
+        f_text, g_text = _fg_text(pf)
         lines.append(f"map {name}: polarized  f={f_text}  g={g_text}")
         maps_payload.append({"name": name, "polarized": True,
                              "f": f_text, "g": g_text})
     if not problem.hamiltonians:
         lines.append("no hamiltonian maps declared")
     report["maps"] = maps_payload
-    _emit(report, lines, args.json)
     return 0
 
 
-def cmd_bracket(args) -> int:
-    problem = load_problem(args.file)
+def cmd_bracket(args, problem: Problem, report: dict, lines: list[str]) -> int:
     H = _map_or_error(problem, args.name_h)
     K = _map_or_error(problem, args.name_k)
-    names = problem.chart.var_names
     try:
         pf_h = decompose_polarized(H)
         pf_k = decompose_polarized(K)
     except NotPolarized as exc:
         raise ProblemError(f"bracket needs polarized maps: {exc}")
     value = bracket(pf_h, pf_k)
-    f_text, g_text = _fg_text(decompose_polarized(value), names)
-    report, lines = _report("bracket", problem)
+    f_text, g_text = _fg_text(decompose_polarized(value))
     lines += [f"{{{args.name_h},{args.name_k}}} = {value.to_string()}",
               f"f = {f_text}",
               f"g = {g_text}"]
     report |= {"bracket": value.to_string(), "f": f_text, "g": g_text}
-    _emit(report, lines, args.json)
     return 0
 
 
-def _field_command(args, command: str, label: str, build) -> int:
-    """Print the field `build(problem, H)` of the map named on the command line."""
-    problem = load_problem(args.file)
+def _field_command(args, problem: Problem, report: dict, lines: list[str], *,
+                   label: str, build) -> int:
+    """Report the field `build(problem, H)` of the map named on the command line."""
     X = build(problem, _map_or_error(problem, args.name))
-    report, lines = _report(command, problem)
     lines.append(f"{label}[{args.name}] = {X.to_string()}")
     report |= {"map": args.name, "components": X.to_string()}
-    _emit(report, lines, args.json)
     return 0
 
 
@@ -365,16 +349,7 @@ def _nambu_field(problem: Problem, H: RkMap):
     raise ProblemError("nambu dynamics need space nambu_rk1 or nambu_r3n")
 
 
-def cmd_field(args) -> int:
-    return _field_command(args, "field", "X", _polarized_field)
-
-
-def cmd_nambu(args) -> int:
-    return _field_command(args, "nambu", "XN", _nambu_field)
-
-
-def cmd_verify(args) -> int:
-    problem = load_problem(args.file)
+def cmd_verify(args, problem: Problem, report: dict, lines: list[str]) -> int:
     seed = _resolve_seed(args, problem)
     trials = args.trials if args.trials is not None \
         else problem.tasks.get("trials", DEFAULT_TRIALS)
@@ -384,7 +359,6 @@ def cmd_verify(args) -> int:
                         tensor=problem.tensor, space=problem.space,
                         seed=seed, trials=trials)
     failed = [r for r in results if not r.passed]
-    report, lines = _report("verify", problem)
     lines += [f"seed: {seed}  trials: {trials}", _space_line(problem)]
     lines.extend(r.line() for r in results)
     verdict = "PASS" if not failed else "FAIL"
@@ -395,7 +369,6 @@ def cmd_verify(args) -> int:
                            "residual": r.residual, "details": r.details}
                           for r in results],
                "passed": not failed}
-    _emit(report, lines, args.json)
     return 0 if not failed else 1
 
 
@@ -406,8 +379,7 @@ def _float_arg(value, name: str) -> float:
         raise ProblemError(f"{name} must be a number")
 
 
-def cmd_integrate(args) -> int:
-    problem = load_problem(args.file)
+def cmd_integrate(args, problem: Problem, report: dict, lines: list[str]) -> int:
     H = _map_or_error(problem, args.name)
     tasks = problem.tasks
     if args.x0 is not None:
@@ -447,7 +419,6 @@ def cmd_integrate(args) -> int:
         raise ProblemError(str(exc)) from None
 
     x0_text = "(" + ", ".join(f"{v:.17g}" for v in x0) + ")"
-    report, lines = _report("integrate", problem)
     lines += [f"map: {args.name}  flow: {args.flow}",
               f"t0={t0:.17g}  t1={t1:.17g}  h={h:.17g}  x0={x0_text}"]
     report |= {"map": args.name, "flow": args.flow,
@@ -475,7 +446,6 @@ def cmd_integrate(args) -> int:
             else f"float overflow evaluating the field or H: {exc}"
         lines.append(f"integration aborted: {reason}")
         report["error"] = reason
-        _emit(report, lines, args.json)
         return 1
     except OSError as exc:
         raise ProblemError(f"cannot write {args.out}: {exc}") from None
@@ -487,7 +457,6 @@ def cmd_integrate(args) -> int:
     if args.out:
         lines.append(f"csv: {args.out}")
         report["csv"] = args.out
-    _emit(report, lines, args.json)
     return 0
 
 
@@ -523,12 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="hamiltonian vector field of a named map")
     common(p)
     p.add_argument("name")
-    p.set_defaults(run=cmd_field)
+    p.set_defaults(run=functools.partial(_field_command, label="X",
+                                         build=_polarized_field))
 
     p = sub.add_parser("nambu", help="Nambu dynamics field of a named map")
     common(p)
     p.add_argument("name")
-    p.set_defaults(run=cmd_nambu)
+    p.set_defaults(run=functools.partial(_field_command, label="XN",
+                                         build=_nambu_field))
 
     p = sub.add_parser("verify", help="run the invariant suite")
     common(p)
@@ -555,7 +526,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        problem = load_problem(args.file)
+        chart = problem.chart
+        # the header every report opens with; the command fills in the rest
+        report = {"command": args.command, "file": problem.path,
+                  "space": problem.space_kind,
+                  "chart": {"n": chart.n, "k": chart.k, "dim": chart.dim}}
+        lines = [f"polaris {args.command} {problem.path}"]
+        code = args.run(args, problem, report, lines)
+        _emit(report, lines, args.json)
+        return code
     except (ProblemError, ParseError, DegreeOverflowError,
             UnprintableCoefficientError) as exc:
         return _fail(str(exc))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -92,7 +93,8 @@ def _time_grid(t0: float, t1: float, h: float) -> Iterator[float]:
     grid starts at t0 and lands on t1, so a span within rounding is one
     short step.  The span and step are checked on the call; the times come
     one at a time."""
-    if not all(math.isfinite(v) for v in (t0, t1, h)):
+    # also catches NaN, and an int too large for a float without converting it
+    if not all(abs(v) <= sys.float_info.max for v in (t0, t1, h)):
         raise ValueError("t0, t1 and h must be finite")
     if not h > 0:
         raise ValueError("step size must be positive")
@@ -170,11 +172,11 @@ def rk4_stream(X: VectorField, x0: Sequence[float], t0: float, t1: float,
     dim = X.chart.dim
     if len(x0) != dim:
         raise ValueError(f"initial state needs {dim} components")
-    state = tuple(float(v) for v in x0)
-    if not all(abs(v) <= BLOWUP_LIMIT for v in state):  # also catches NaN
+    # checked before converting, so an int too large for a float is refused
+    if not all(abs(v) <= BLOWUP_LIMIT for v in x0):  # also catches NaN
         raise ValueError(f"x0 components must be finite and lie within "
                          f"{BLOWUP_LIMIT:g}")
-    return _steps(X, _time_grid(t0, t1, h), state)
+    return _steps(X, _time_grid(t0, t1, h), tuple(float(v) for v in x0))
 
 
 def _steps(X: VectorField, grid: Iterator[float], state: tuple[float, ...]):
@@ -212,10 +214,10 @@ def conservation_report(H: RkMap, states: Trajectory | Iterable[Sequence[float]]
     drawn one at a time from an iterable (such as a stream that steps as
     it is read).
 
-    An OverflowError while evaluating `H` does not stop the walk: the
-    remaining states are still drawn, so an error raised by the stream
-    that yields them comes first, and the first such overflow is raised
-    once the states run out.
+    An OverflowError while compiling or evaluating `H` does not stop the
+    walk: the remaining states are still drawn, so an error raised by the
+    stream that yields them comes first, and the overflow is raised once
+    the states run out.
     """
     if isinstance(states, Trajectory):
         states = states.states
@@ -225,21 +227,17 @@ def conservation_report(H: RkMap, states: Trajectory | Iterable[Sequence[float]]
         raise ValueError("no states to report on")
     if len(first) != H.chart.dim:
         raise ValueError("trajectory dimension does not match the chart")
-    values = float_evaluator(list(H))
-    initial = drifts = overflow = None
-    for state in itertools.chain((first,), states):
-        if overflow is not None:
-            continue
-        try:
-            now = values(state)
-        except OverflowError as exc:
-            overflow = exc
-            continue
-        if initial is None:
-            initial, drifts = now, [0.0] * len(now)
-        drifts = [max(d, abs(v - h0)) for d, v, h0 in zip(drifts, now, initial)]
-    if overflow is not None:
-        raise overflow
+    try:
+        values = float_evaluator(list(H))
+        initial = values(first)
+        drifts = [0.0] * len(initial)
+        for state in states:
+            drifts = [max(d, abs(v - h0))
+                      for d, v, h0 in zip(drifts, values(state), initial)]
+    except OverflowError:
+        for _ in states:
+            pass
+        raise
     return ConservationReport(tuple(drifts))
 
 

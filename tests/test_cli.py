@@ -479,6 +479,28 @@ def test_integrate_float_overflow_reports_failure(demo, capsys):
     assert err == ""
 
 
+def test_an_overflow_of_h_waits_for_the_blowup(demo, capsys, tmp_path):
+    # H's constant overflows a float when H is compiled; the field is G's,
+    # and its blow-up at t = 1.01 is reported as it is for G
+    payload = {"space": "canonical", "n": 1, "k": 1,
+               "hamiltonians": {"H": ["q1^2*x1_1 + 1" + "0" * 400],
+                                "G": ["q1^2*x1_1"]},
+               "tasks": {"x0": [1, 1], "t0": 0, "t1": 2, "h": 0.01}}
+    path = demo(payload)
+    reasons, rows = [], []
+    for name in ("G", "H"):
+        out_csv = tmp_path / f"{name}.csv"
+        code, out, _ = run(capsys, "integrate", path, name, "--out", str(out_csv))
+        assert code == 1
+        reasons.append(out.splitlines()[-1])
+        rows.append(out_csv.read_bytes())
+    assert reasons[0] == reasons[1]
+    assert reasons[0].startswith("integration aborted: state magnitude")
+    assert reasons[0].endswith("at t=1.01")
+    assert rows[0] == rows[1]
+    assert len(rows[0].splitlines()) == 1 + 101
+
+
 def test_integrate_nambu_flow_on_pole_free_span(demo, capsys):
     # the demo trajectory blows up at t = 1; half the span stays tame
     code, out, _ = run(capsys, "integrate", demo(DEMO), "H",

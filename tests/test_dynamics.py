@@ -296,8 +296,12 @@ def test_stream_checks_its_arguments_on_the_call():
     calls += [(X_H, (1.0, 1.0, 1.0), *span)
               for bad in (math.inf, -math.inf, math.nan)
               for span in ((bad, 1.0, 0.1), (0.0, bad, 0.1), (0.0, 1.0, bad))]
+    # an int too large for a float
+    calls += [(X_H, (1.0, 1.0, 1.0), *span)
+              for span in ((10**400, 10**401, 1.0), (0, 10**400, 1),
+                           (0, 1, 10**400))]
     calls += [(X_H, (bad, 1.0, 1.0), 0.0, 1.0, 0.1)
-              for bad in (math.nan, math.inf, 1e13)]
+              for bad in (math.nan, math.inf, 1e13, 10**400)]
     for args in calls:
         with pytest.raises(ValueError):
             rk4_stream(*args)
@@ -349,10 +353,15 @@ def test_overflow_of_h_waits_for_the_end_of_the_stream():
     assert str(err.value) == str(first.value)
 
 
+# a coefficient that overflows a float when H is compiled
+UNCOMPILABLE_H = RkMap(R3, [R3.constant(10**400), R3.zero()])
+
+
 def test_an_error_of_the_stream_comes_before_an_overflow_of_h():
     def states():
         yield (0.0, 0.0, 1e10)  # H overflows here
         raise BlowUpError(0.001, 2e12)
 
-    with pytest.raises(BlowUpError):
-        conservation_report(OVERFLOWING_H, states())
+    for H in (OVERFLOWING_H, UNCOMPILABLE_H):
+        with pytest.raises(BlowUpError):
+            conservation_report(H, states())

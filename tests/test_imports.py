@@ -14,13 +14,16 @@ definition, as a plain name, an attribute or an imported name.
 
 Public code is held to the same rule: every public module-level
 function or class, and every public method or property of a class, must
-be read somewhere in the package outside its own definition.  A
-re-export from `__init__.py` is not a reader.  A name that nothing in
-the package reads stays only with a reason: an entry in `KEEP`, or a
-place in the benchmark tracer's lists of wrapped names.  Matching is by
-bare name, so a definition that shares its name with any other read
-attribute (`zero`, `dim`, `entries`) passes whether or not anything
-calls it; those need a look by hand.
+be read somewhere in the package outside its own definition.  A method
+or property is read only through an attribute (`x.name`), so a local
+variable of the same name is not a reader; a module-level name is read
+as a plain name, an attribute or an imported name.  A re-export from
+`__init__.py` is not a reader.  A name that nothing in the package
+reads stays only with a reason: an entry in `KEEP`, or a place in the
+benchmark tracer's lists of wrapped names.  Matching is by bare name,
+so a method that shares its name with any other read attribute (`zero`,
+`dim`, `entries`) passes whether or not anything calls it; those need a
+look by hand.
 Standard library only.
 """
 import ast
@@ -86,13 +89,19 @@ def private_definitions(tree):
                         yield name.id, node
 
 
+def attribute_reads(tree):
+    """`name` of every `x.name` the tree loads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def read_names(tree):
     """Every name the tree reads: loaded names and attributes, and imports."""
+    yield from attribute_reads(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
 
@@ -143,10 +152,17 @@ def unread_public_names(sources):
     """`module.name` or `module.Class.name` of each public definition that
     nothing else reads; `sources` maps module file names to their text."""
     trees = {Path(module).stem: ast.parse(text) for module, text in sources.items()}
-    reads = Counter(name for tree in trees.values() for name in read_names(tree))
-    return [f"{module}.{qualified}" for module, tree in trees.items()
-            for qualified, node in public_definitions(tree)
-            if reads[node.name] <= Counter(read_names(node))[node.name]]
+    reads = {readers: Counter(name for tree in trees.values()
+                              for name in readers(tree))
+             for readers in (read_names, attribute_reads)}
+    unread = []
+    for module, tree in trees.items():
+        for qualified, node in public_definitions(tree):
+            # a method or property is read through `x.name` only
+            readers = attribute_reads if "." in qualified else read_names
+            if reads[readers][node.name] <= Counter(readers(node))[node.name]:
+                unread.append(f"{module}.{qualified}")
+    return unread
 
 
 def traced_names():
@@ -171,6 +187,7 @@ KEEP = {
     "hamiltonian.zeta_inverse": "README documents the duality's exact inverse",
     "nambu.NambuSpaceRk1.coordinate_index": "acceptance criterion 8 reads z with it",
     "nambu.NambuSpaceR3n.triple_indices": "acceptance criterion 9 reads z^i with it",
+    "poly.Polynomial.terms": "bench/tracer.py counts terms and coefficient bits through it",
 }
 
 
@@ -188,9 +205,13 @@ def test_an_unused_public_name_is_found():
     source = ("def used(n):\n    return n\n"
               "def unused(n):\n    return unused(n - 1) if n else used(n)\n"
               "class C:\n    def read(self):\n        return 1\n"
-              "    @property\n    def size(self):\n        return self.read()\n"
+              "    @property\n    def size(self):\n"
+              "        count = self.read()\n        return count\n"
+              # a local variable named `count` does not read the method
+              "    def count(self):\n        return 0\n"
               "    def __len__(self):\n        return 0\n")
-    assert unread_public_names({"a.py": source}) == ["a.unused", "a.C", "a.C.size"]
+    assert unread_public_names({"a.py": source}) == [
+        "a.unused", "a.C", "a.C.size", "a.C.count"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
